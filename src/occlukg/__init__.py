@@ -11,7 +11,6 @@ cli (command line).
 
 from .scenes import (
     BrakingLights,
-    CameraIntrinsics,
     DistanceBucket,
     Environment,
     FrameAnnotation,

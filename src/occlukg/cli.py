@@ -441,11 +441,21 @@ def cmd_build_kg(args) -> int:
     return EXIT_OK
 
 
+def _validation_ratio(value: float) -> float:
+    if not 0.0 <= value < 1.0:
+        raise ConfigError(f"validation_ratio must lie in [0, 1), got {value!r}")
+    return value
+
+
 def cmd_train(args) -> int:
     raw = _read_config_file(args.config)
     validation_ratio = 0.1
     if "validation_ratio" in raw:
-        validation_ratio = _parse_float("validation_ratio", raw.pop("validation_ratio"))
+        validation_ratio = _validation_ratio(
+            _parse_float("validation_ratio", raw.pop("validation_ratio"))
+        )
+    if args.validation_ratio is not None:
+        validation_ratio = _validation_ratio(args.validation_ratio)
     config = training_config_from_mapping(raw)
     overrides = {
         "k": args.k,
@@ -460,8 +470,6 @@ def cmd_train(args) -> int:
         "seed": args.seed,
     }
     overrides = {k: v for k, v in overrides.items() if v is not None}
-    if args.validation_ratio is not None:
-        validation_ratio = args.validation_ratio
     try:
         config = dataclasses.replace(config, **overrides)
     except ValueError as exc:

@@ -28,7 +28,7 @@ from .kg import (
     make_split,
 )
 from .kge.calibrate import CalibrationResult, calibrate
-from .kge.train import TrainingConfig, sample_corruptions, train
+from .kge.train import TrainingConfig, corrupt_batch, train
 from .scenes import Environment, RoadSceneDocument, SceneLabel
 
 CALIBRATION_NEGATIVES_PER_POSITIVE = 4
@@ -181,8 +181,10 @@ def _calibration_sets(split, rng: np.random.Generator):
     cells are the decisive ones — they sit much closer to the positives
     than random corruptions do, which keeps the fitted slope gentle
     enough that score differences among high-scoring triples survive
-    the mapping.  Splits without pattern triples fall back to uniform
-    corruption negatives around a training-triple sample.
+    the mapping.  Splits without pattern triples, or whose grid has no
+    absent cell (every training scene shares one label), fall back to
+    uniform corruption negatives around the validation triples or a
+    training-triple sample.
     """
     known = split.all_known()
     # prototypes for classes absent from the train fold have no embedding
@@ -212,15 +214,11 @@ def _calibration_sets(split, rng: np.random.Generator):
         positives = [train[i] for i in np.sort(chosen)]
     kg = split.kg
     pos_idx = kg.to_index_array(positives)
-    negatives = []
-    for row in pos_idx:
-        for s, r, o in sample_corruptions(
-            tuple(row), kg, CALIBRATION_NEGATIVES_PER_POSITIVE, rng
-        ):
-            cand = Triple(kg.entities[s], kg.relations[r], kg.entities[o])
-            if cand not in known:
-                negatives.append(cand)
-    return positives, negatives
+    corrupted = corrupt_batch(pos_idx, CALIBRATION_NEGATIVES_PER_POSITIVE, kg.n_entities, rng)
+    candidates = (
+        Triple(kg.entities[s], kg.relations[r], kg.entities[o]) for s, r, o in corrupted
+    )
+    return positives, [t for t in candidates if t not in known]
 
 
 def run_experiment_with_predictions(

@@ -17,7 +17,6 @@ from .train import (
     TrainingResult,
     adam_step,
     corrupt_batch,
-    sample_corruptions,
     self_adversarial_loss,
     train,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "init_embeddings",
     "init_tables",
     "load_checkpoint",
-    "sample_corruptions",
     "save_checkpoint",
     "score_batch",
     "score_gradient",

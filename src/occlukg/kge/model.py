@@ -159,9 +159,19 @@ def score_gradient(
     si = model.entity_index[subject]
     ri = model.relation_index[relation]
     oi = model.entity_index[object]
-    s_re, s_im = model.ent_re[si], model.ent_im[si]
-    r_re, r_im = model.rel_re[ri], model.rel_im[ri]
-    o_re, o_im = model.ent_re[oi], model.ent_im[oi]
+    return _score_partials(
+        model.ent_re[si], model.ent_im[si],
+        model.rel_re[ri], model.rel_im[ri],
+        model.ent_re[oi], model.ent_im[oi],
+    )
+
+
+def _score_partials(
+    s_re: np.ndarray, s_im: np.ndarray,
+    r_re: np.ndarray, r_im: np.ndarray,
+    o_re: np.ndarray, o_im: np.ndarray,
+) -> dict[str, np.ndarray]:
+    """score_gradient's six partials for gathered rows (any leading shape)."""
     return {
         "s_re": r_re * o_re + r_im * o_im,
         "s_im": r_re * o_im - r_im * o_re,

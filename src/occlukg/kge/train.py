@@ -1,22 +1,23 @@
 """Mini-batch trainer: corruption sampling, self-adversarial loss, Adam.
 
 Gradients are computed analytically from the score's four-term real
-form, accumulated into dense tables with a fixed reduction order
-(sorted segment sums), and applied with one Adam step per batch over
-all four embedding tables. Early stopping tracks filtered MRR on the
-validation triples and returns the best snapshot seen.
+form, summed into dense tables by one sparse one-hot product per table
+pair (each row adds its contributions in batch order, so the result is
+deterministic), and applied with one Adam step per batch over all four
+embedding tables. Early stopping tracks filtered MRR on the validation
+triples and returns the best snapshot seen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import expit
 
 from ..kg import TripleSplit
-from .model import ComplexModel, _score_arrays, init_embeddings
+from .model import ComplexModel, _score_arrays, _score_partials, init_embeddings
 from .ranking import evaluate_ranking
 
 
@@ -88,44 +89,14 @@ def adam_step(
     return params, state
 
 
-def sample_corruptions(triple, kg, eta: int, rng: np.random.Generator, max_retries: int = 10):
-    """eta negatives for one indexed triple (subject or object replaced).
-
-    The replacement entity is drawn uniformly from the other |E|-1
-    entities via an index shift, so the positive itself can never come
-    back. Duplicate negatives are resampled up to ``max_retries`` times,
-    then accepted.
-    """
-    n_ent = kg.n_entities
-    if n_ent < 2:
-        raise ValueError("corruption sampling needs at least 2 entities")
-    s, r, o = (int(x) for x in triple)
-    out = []
-    seen: set[tuple[int, int, int]] = set()
-    for _ in range(eta):
-        cand = (s, r, o)
-        for attempt in range(max_retries + 1):
-            side = int(rng.integers(2))
-            orig = s if side == 0 else o
-            draw = int(rng.integers(n_ent - 1))
-            if draw >= orig:
-                draw += 1
-            cand = (draw, r, o) if side == 0 else (s, r, draw)
-            if cand not in seen or attempt == max_retries:
-                break
-        seen.add(cand)
-        out.append(cand)
-    return out
-
-
 def corrupt_batch(
     pos_idx: np.ndarray, eta: int, n_entities: int, rng: np.random.Generator
 ) -> np.ndarray:
     """(n*eta, 3) corruptions, eta consecutive rows per positive.
 
-    Vectorized training-path variant of sample_corruptions: same
-    fair-coin side choice and index-shift draw, but duplicates among a
-    positive's negatives are accepted outright.
+    Each row replaces the subject or the object (fair coin) with an
+    entity drawn uniformly from the other |E|-1 via an index shift, so
+    the positive itself never comes back. Duplicates are kept.
     """
     if n_entities < 2:
         raise ValueError("corruption sampling needs at least 2 entities")
@@ -142,55 +113,46 @@ def corrupt_batch(
 
 
 def self_adversarial_loss(
-    positive_score: float, negative_scores: Sequence[float], temperature: float
+    pos_scores: np.ndarray, neg_scores: np.ndarray, temperature: float
 ):
-    """Loss and exact score-partials for one positive and its negatives.
+    """Mean loss and exact score-partials over a batch of positives.
 
-    weights w = softmax(temperature * f_neg), treated as constants
-    (stop-gradient); loss = -log sigma(f_pos) - sum_i w_i log sigma(-f_i).
-    Returns (loss, d_loss/d_f_pos, d_loss/d_f_neg array).
+    ``pos_scores`` has shape (n,), ``neg_scores`` (n, eta): row i holds
+    the negatives of positive i. Per row, weights w = softmax(temperature
+    * f_neg) are treated as constants (stop-gradient) and
+    loss = -log sigma(f_pos) - sum_j w_j log sigma(-f_j).
+    Returns (mean loss, d_mean/d_pos (n,), d_mean/d_neg (n, eta)); the
+    partials carry the 1/n of the mean.
     """
     if not temperature > 0:
         raise ValueError("temperature must be > 0")
-    f_neg = np.asarray(negative_scores, dtype=np.float64)
-    if f_neg.size == 0:
-        raise ValueError("need at least one negative score")
-    f_pos = float(positive_score)
+    f_pos = np.asarray(pos_scores, dtype=np.float64)
+    f_neg = np.asarray(neg_scores, dtype=np.float64)
+    if f_neg.ndim != 2 or f_neg.shape[1] == 0:
+        raise ValueError("need at least one negative score per positive")
+    n = f_pos.shape[0]
     logits = temperature * f_neg
-    logits = logits - logits.max()
-    w = np.exp(logits)
-    w /= w.sum()
-    # -log sigma(x) == softplus(-x), computed stably via logaddexp
-    loss = float(np.logaddexp(0.0, -f_pos) + np.sum(w * np.logaddexp(0.0, f_neg)))
-    d_pos = float(expit(f_pos) - 1.0)
-    d_neg = w * expit(f_neg)
-    return loss, d_pos, d_neg
-
-
-def _batch_loss(pos_scores: np.ndarray, neg_scores: np.ndarray, temperature: float):
-    """Mean self-adversarial loss over a batch; grads already carry 1/n."""
-    n = pos_scores.shape[0]
-    logits = temperature * neg_scores
     logits = logits - logits.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
-    per_pos = np.logaddexp(0.0, -pos_scores) + np.sum(
-        w * np.logaddexp(0.0, neg_scores), axis=1
-    )
+    # -log sigma(x) == softplus(-x), computed stably via logaddexp
+    per_pos = np.logaddexp(0.0, -f_pos) + np.sum(w * np.logaddexp(0.0, f_neg), axis=1)
     loss = float(per_pos.mean())
-    d_pos = (expit(pos_scores) - 1.0) / n
-    d_neg = w * expit(neg_scores) / n
+    d_pos = (expit(f_pos) - 1.0) / n
+    d_neg = w * expit(f_neg) / n
     return loss, d_pos, d_neg
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    """out[idx] += values with a deterministic (sorted-segment) reduction."""
-    order = np.argsort(idx, kind="stable")
-    idx_sorted = idx[order]
-    vals_sorted = values[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx_sorted)) + 1))
-    sums = np.add.reduceat(vals_sorted, starts, axis=0)
-    out[idx_sorted[starts]] += sums
+def _scatter_rows(idx: np.ndarray, weights: np.ndarray, values: np.ndarray, n_rows: int):
+    """(n_rows, cols) array whose row j is the sum of weights[i] * values[i] over idx[i] == j.
+
+    Computed as a CSR one-hot matrix (data = weights) times ``values``;
+    each output row adds its terms in input order.
+    """
+    onehot = sparse.csr_array(
+        (weights, (idx, np.arange(idx.shape[0]))), shape=(n_rows, idx.shape[0])
+    )
+    return onehot @ values
 
 
 @dataclass
@@ -204,68 +166,37 @@ class TrainingResult:
         return "\n".join(self.history) + "\n" if self.history else ""
 
 
-def _scatter_add_pair(
-    out_a: np.ndarray, out_b: np.ndarray,
-    idx: np.ndarray, vals_a: np.ndarray, vals_b: np.ndarray,
-) -> None:
-    """Two deterministic scatter-adds sharing one sort of the same index vector."""
-    order = np.argsort(idx, kind="stable")
-    idx_sorted = idx[order]
-    stacked = np.concatenate((vals_a, vals_b), axis=1)[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(idx_sorted)) + 1))
-    sums = np.add.reduceat(stacked, starts, axis=0)
-    rows = idx_sorted[starts]
-    k = vals_a.shape[1]
-    out_a[rows] += sums[:, :k]
-    out_b[rows] += sums[:, k:]
+_TABLES = ("ent_re", "ent_im", "rel_re", "rel_im")
 
 
-def _apply_batch(model: ComplexModel, adam, idx: np.ndarray, g: np.ndarray, lr: float, l2: float,
-                 gathered=None):
-    """Accumulate score-gradients for rows idx weighted by g; Adam-step all tables."""
+def _table_gradients(model: ComplexModel, idx: np.ndarray, gathered, g: np.ndarray):
+    """Gradients of sum_i g[i] * score(idx[i]) for the tables named in _TABLES, in order.
+
+    ``gathered`` holds the six embedding blocks of idx's rows, as
+    _score_arrays takes them.
+    """
     s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
-    if gathered is None:
-        s_re, s_im = model.ent_re[s], model.ent_im[s]
-        r_re, r_im = model.rel_re[r], model.rel_im[r]
-        o_re, o_im = model.ent_re[o], model.ent_im[o]
-    else:
-        s_re, s_im, r_re, r_im, o_re, o_im = gathered
-    gc = g[:, None]
-    grad_ent_re = np.zeros_like(model.ent_re)
-    grad_ent_im = np.zeros_like(model.ent_im)
-    grad_rel_re = np.zeros_like(model.rel_re)
-    grad_rel_im = np.zeros_like(model.rel_im)
-    _scatter_add_pair(
-        grad_ent_re,
-        grad_ent_im,
+    p = _score_partials(*gathered)
+    k = model.k
+    grad_ent = _scatter_rows(
         np.concatenate((s, o)),
-        np.concatenate((gc * (r_re * o_re + r_im * o_im), gc * (s_re * r_re - s_im * r_im))),
-        np.concatenate((gc * (r_re * o_im - r_im * o_re), gc * (s_im * r_re + s_re * r_im))),
+        np.concatenate((g, g)),
+        np.block([[p["s_re"], p["s_im"]], [p["o_re"], p["o_im"]]]),
+        model.ent_re.shape[0],
     )
-    _scatter_add_pair(
-        grad_rel_re, grad_rel_im, r,
-        gc * (s_re * o_re + s_im * o_im),
-        gc * (s_re * o_im - s_im * o_re),
-    )
-    if l2 > 0:
-        grad_ent_re += l2 * model.ent_re
-        grad_ent_im += l2 * model.ent_im
-        grad_rel_re += l2 * model.rel_re
-        grad_rel_im += l2 * model.rel_im
-    adam_step(adam["ent_re"], model.ent_re, grad_ent_re, lr)
-    adam_step(adam["ent_im"], model.ent_im, grad_ent_im, lr)
-    adam_step(adam["rel_re"], model.rel_re, grad_rel_re, lr)
-    adam_step(adam["rel_im"], model.rel_im, grad_rel_im, lr)
+    grad_rel = _scatter_rows(r, g, np.hstack((p["r_re"], p["r_im"])), model.rel_re.shape[0])
+    return grad_ent[:, :k], grad_ent[:, k:], grad_rel[:, :k], grad_rel[:, k:]
 
 
 def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
     """Fit embeddings on a split's training triples.
 
-    Every ``check_every`` epochs the filtered validation MRR is
-    measured (against the union of all split triples); ``patience``
-    consecutive checks without strict improvement over the best seen —
-    including the untrained baseline — stop training. Without
-    validation triples, runs the full ``max_epochs``.
+    Every ``check_every`` epochs, and after the last epoch, the
+    filtered validation MRR is measured (against the union of all split
+    triples); ``patience`` consecutive checks without strict improvement
+    over the best seen — including the untrained baseline — stop
+    training, and the best snapshot is returned. Without validation
+    triples, runs the full ``max_epochs`` and returns the final model.
     """
     kg = splits.kg
     train_idx = kg.to_index_array(splits.train)
@@ -273,12 +204,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
         raise ValueError("no training triples")
     model = init_embeddings(kg, config.k, config.seed)
     rng = np.random.default_rng(config.seed)
-    adam = {
-        "ent_re": AdamState.for_params(model.ent_re),
-        "ent_im": AdamState.for_params(model.ent_im),
-        "rel_re": AdamState.for_params(model.rel_re),
-        "rel_im": AdamState.for_params(model.rel_im),
-    }
+    adam = {name: AdamState.for_params(getattr(model, name)) for name in _TABLES}
     history: list[str] = []
     has_validation = len(splits.validation) > 0
     known = splits.all_known()
@@ -309,7 +235,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
             n_pos = pos.shape[0]
             pos_scores = scores[:n_pos]
             neg_scores = scores[n_pos:].reshape(n_pos, config.eta)
-            loss, d_pos, d_neg = _batch_loss(
+            loss, d_pos, d_neg = self_adversarial_loss(
                 pos_scores, neg_scores, config.adversarial_temperature
             )
             if not np.isfinite(loss):
@@ -319,11 +245,14 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
                 )
             loss_sum += loss * n_pos
             g = np.concatenate((d_pos, d_neg.ravel()))
-            _apply_batch(model, adam, idx, g, config.learning_rate, config.l2,
-                         gathered=gathered)
+            for name, grad in zip(_TABLES, _table_gradients(model, idx, gathered, g)):
+                params = getattr(model, name)
+                if config.l2 > 0:
+                    grad = grad + config.l2 * params
+                adam_step(adam[name], params, grad, config.learning_rate)
         history.append(f"epoch\t{loss_sum / n!r}")
 
-        if has_validation and epoch % config.check_every == 0:
+        if has_validation and (epoch % config.check_every == 0 or epoch == config.max_epochs):
             mrr = evaluate_ranking(model, splits.validation, known).mrr
             history.append(f"check\t{epoch}\t{mrr!r}")
             if not (mrr > best_mrr):

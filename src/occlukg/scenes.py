@@ -75,7 +75,6 @@ class VehiclePosition(str, Enum):
 FULL_OCCLUSION_VISIBILITY_THRESHOLD = 0.25
 
 DEFAULT_DISTANCE_THRESHOLDS = (10.0, 30.0)
-DEFAULT_PEDESTRIAN_WIDTH_M = 0.5
 
 
 class SceneParseError(ValueError):
@@ -156,18 +155,6 @@ class RoadSceneDocument:
     @property
     def scene_id(self) -> str:
         return self.context.scene_id
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    focal_length: float
-    known_pedestrian_width: float = DEFAULT_PEDESTRIAN_WIDTH_M
-
-    def __post_init__(self):
-        if self.focal_length <= 0:
-            raise ValueError("focal_length must be > 0")
-        if self.known_pedestrian_width <= 0:
-            raise ValueError("known_pedestrian_width must be > 0")
 
 
 def estimate_distance(known_width: float, focal_length: float, pixel_width: float) -> float:

@@ -90,10 +90,13 @@ class TestAnalyticGradients:
             f_pos = float(rng.uniform(-2.0, 2.0))
             f_neg = rng.uniform(-2.0, 2.0, size=n_neg)
             temperature = float(rng.uniform(0.5, 2.0))
-            _, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, temperature)
+            # one-row batches: the trainer's batched loss, with n = 1
+            row = f_neg[None, :]
+            _, d_pos, d_neg = self_adversarial_loss(np.array([f_pos]), row, temperature)
+            d_pos, d_neg = float(d_pos[0]), d_neg[0]
 
-            up = self_adversarial_loss(f_pos + h, f_neg, temperature)[0]
-            down = self_adversarial_loss(f_pos - h, f_neg, temperature)[0]
+            up = self_adversarial_loss(np.array([f_pos + h]), row, temperature)[0]
+            down = self_adversarial_loss(np.array([f_pos - h]), row, temperature)[0]
             numeric_pos = (up - down) / (2.0 * h)
             rel = abs(d_pos - numeric_pos) / max(abs(d_pos), abs(numeric_pos), 1e-12)
             assert rel < 1e-5, f"case {case}, positive side: relative error {rel}"

@@ -369,6 +369,29 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["1.5", "1.0", "-0.1"])
+    def test_validation_ratio_out_of_range_flag(self, kg_path, tmp_path, capsys, ratio):
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out),
+            "--k", "4", "--max-epochs", "1", "--validation-ratio", ratio,
+        ])
+        assert code == EXIT_USAGE
+        assert "validation_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_validation_ratio_out_of_range_config_key(self, kg_path, tmp_path, capsys):
+        cfg = tmp_path / "train.txt"
+        cfg.write_text("validation_ratio = 1.5\n", encoding="utf-8")
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out), "--config", str(cfg),
+            "--k", "4", "--max-epochs", "1",
+        ])
+        assert code == EXIT_USAGE
+        assert "validation_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_kg_file(self, tmp_path):
         assert main(["train", "--kg", str(tmp_path / "nope.tsv"), "--out",
                      str(tmp_path / "m.npz")]) == EXIT_USAGE

@@ -1,4 +1,4 @@
-"""Trainer pieces: Adam, self-adversarial loss, corruptions, training loop."""
+"""Trainer pieces: Adam, self-adversarial loss, corruptions, gradient scatter, training loop."""
 
 import math
 
@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlukg.kg import TripleSplit, build_linked_kg
-from occlukg.kge.model import init_embeddings, score_triple
+from occlukg.kge.model import init_embeddings, score_gradient, score_triple
 from occlukg.kge.train import (
+    _TABLES,
     AdamState,
     TrainingConfig,
+    _table_gradients,
     adam_step,
     corrupt_batch,
-    sample_corruptions,
     self_adversarial_loss,
     train,
 )
@@ -106,17 +107,25 @@ class TestAdam:
         assert np.array_equal(params, np.array([1.0, 2.0]))
 
 
+def one_row_loss(f_pos, f_neg, temperature):
+    """The batched loss on a one-row batch (n = 1, so no 1/n), as scalars and one row."""
+    loss, d_pos, d_neg = self_adversarial_loss(
+        np.array([f_pos], dtype=float), np.asarray([f_neg], dtype=float), temperature
+    )
+    return loss, float(d_pos[0]), d_neg[0]
+
+
 class TestSelfAdversarialLoss:
     def test_zero_scores_hand_value(self):
         # softplus(0) for the positive plus weight-1 softplus(0) for the
         # single negative: 2 ln 2
-        loss, d_pos, d_neg = self_adversarial_loss(0.0, [0.0], temperature=1.0)
+        loss, d_pos, d_neg = one_row_loss(0.0, [0.0], temperature=1.0)
         assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert d_pos == pytest.approx(-0.5)
         assert np.allclose(d_neg, [0.5])
 
     def test_equal_negatives_share_weight(self):
-        loss, _, d_neg = self_adversarial_loss(0.0, [0.0, 0.0], temperature=1.0)
+        loss, _, d_neg = one_row_loss(0.0, [0.0, 0.0], temperature=1.0)
         assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert np.allclose(d_neg, [0.25, 0.25])
 
@@ -126,7 +135,7 @@ class TestSelfAdversarialLoss:
             f_pos = float(rng.normal())
             f_neg = rng.normal(size=4)
             temp = float(rng.uniform(0.25, 3.0))
-            loss, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, temp)
+            loss, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
             w = np.exp(temp * f_neg)
             w /= w.sum()
             expected = -math.log(1 / (1 + math.exp(-f_pos))) - float(
@@ -137,31 +146,41 @@ class TestSelfAdversarialLoss:
             assert np.allclose(d_neg, w / (1 + np.exp(-f_neg)), rtol=1e-10)
 
     def test_extreme_scores_stay_finite(self):
-        loss, d_pos, d_neg = self_adversarial_loss(-500.0, [700.0, -700.0], 1.0)
+        loss, d_pos, d_neg = one_row_loss(-500.0, [700.0, -700.0], 1.0)
         assert np.isfinite(loss)
         assert np.isfinite(d_pos)
         assert np.all(np.isfinite(d_neg))
 
     def test_high_temperature_concentrates_weight(self):
-        _, _, d_neg = self_adversarial_loss(0.0, [3.0, 0.0], temperature=10.0)
+        _, _, d_neg = one_row_loss(0.0, [3.0, 0.0], temperature=10.0)
         assert d_neg[0] > 100 * d_neg[1]
 
     def test_needs_a_negative(self):
         with pytest.raises(ValueError):
-            self_adversarial_loss(0.0, [], temperature=1.0)
+            one_row_loss(0.0, [], temperature=1.0)
 
     def test_needs_positive_temperature(self):
         with pytest.raises(ValueError):
-            self_adversarial_loss(0.0, [0.0], temperature=0.0)
+            one_row_loss(0.0, [0.0], temperature=0.0)
+
+    def test_batch_is_the_mean_of_its_rows(self):
+        rng = np.random.default_rng(5)
+        f_pos = rng.normal(size=6)
+        f_neg = rng.normal(size=(6, 3))
+        loss, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, 1.7)
+        rows = [one_row_loss(f_pos[i], f_neg[i], 1.7) for i in range(6)]
+        assert loss == pytest.approx(np.mean([row[0] for row in rows]), rel=1e-12)
+        assert np.allclose(d_pos, [row[1] / 6 for row in rows], rtol=1e-12)
+        assert np.allclose(d_neg, [row[2] / 6 for row in rows], rtol=1e-12)
 
     def test_gradient_matches_finite_difference(self):
         # the negative weights are treated as constants (stop-gradient), so
         # d/df_i is w_i * sigmoid(f_i), not the full softmax derivative
         f_pos, f_neg, temp = 0.3, np.array([0.5, -1.0, 0.1]), 1.3
-        _, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, temp)
+        _, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
         h = 1e-6
-        up, _, _ = self_adversarial_loss(f_pos + h, f_neg, temp)
-        down, _, _ = self_adversarial_loss(f_pos - h, f_neg, temp)
+        up, _, _ = one_row_loss(f_pos + h, f_neg, temp)
+        down, _, _ = one_row_loss(f_pos - h, f_neg, temp)
         assert d_pos == pytest.approx((up - down) / (2 * h), rel=1e-5)
         for i in range(3):
             w = np.exp(temp * f_neg)
@@ -184,42 +203,43 @@ def small_kg():
 class TestCorruptions:
     def test_never_returns_the_positive(self, small_kg):
         rng = np.random.default_rng(0)
-        idx = small_kg.to_index_array()
-        pos = tuple(idx[0])
+        pos = small_kg.to_index_array()[:1]
         for _ in range(200):
-            for cand in sample_corruptions(pos, small_kg, eta=4, rng=rng):
-                assert cand != pos
+            for cand in corrupt_batch(pos, eta=4, n_entities=small_kg.n_entities, rng=rng):
+                assert tuple(cand) != tuple(pos[0])
 
     def test_exactly_one_side_replaced(self, small_kg):
         rng = np.random.default_rng(1)
-        idx = small_kg.to_index_array()
-        s, r, o = (int(x) for x in idx[5])
-        for cand in sample_corruptions((s, r, o), small_kg, eta=50, rng=rng):
-            cs, cr, co = cand
+        pos = small_kg.to_index_array()[5:6]
+        s, r, o = (int(x) for x in pos[0])
+        for cand in corrupt_batch(pos, eta=50, n_entities=small_kg.n_entities, rng=rng):
+            cs, cr, co = (int(x) for x in cand)
             assert cr == r
             assert (cs == s) != (co == o)  # one side intact, one replaced
 
     def test_both_sides_get_replaced_over_time(self, small_kg):
         rng = np.random.default_rng(2)
-        idx = small_kg.to_index_array()
-        s, r, o = (int(x) for x in idx[0])
-        cands = sample_corruptions((s, r, o), small_kg, eta=100, rng=rng)
+        pos = small_kg.to_index_array()[:1]
+        s, r, o = (int(x) for x in pos[0])
+        cands = corrupt_batch(pos, eta=100, n_entities=small_kg.n_entities, rng=rng)
         assert any(c[0] != s for c in cands)
         assert any(c[2] != o for c in cands)
 
     def test_deterministic_under_seed(self, small_kg):
-        idx = small_kg.to_index_array()
-        pos = tuple(idx[3])
-        a = sample_corruptions(pos, small_kg, 8, np.random.default_rng(9))
-        b = sample_corruptions(pos, small_kg, 8, np.random.default_rng(9))
-        assert a == b
+        pos = small_kg.to_index_array()[3:4]
+        n = small_kg.n_entities
+        a = corrupt_batch(pos, 8, n, np.random.default_rng(9))
+        b = corrupt_batch(pos, 8, n, np.random.default_rng(9))
+        assert np.array_equal(a, b)
 
     def test_rejects_tiny_vocabulary(self):
         from occlukg.kg import KnowledgeGraph, Triple
 
         kg = KnowledgeGraph(triples=frozenset({Triple("a", "nextFrame", "a")}))
         with pytest.raises(ValueError, match="2 entities"):
-            sample_corruptions((0, 0, 0), kg, 1, np.random.default_rng(0))
+            corrupt_batch(
+                np.zeros((1, 3), dtype=np.int64), 1, kg.n_entities, np.random.default_rng(0)
+            )
 
     def test_batch_variant_shape_and_sides(self, small_kg):
         rng = np.random.default_rng(3)
@@ -232,6 +252,40 @@ class TestCorruptions:
         object_changed = neg[:, 2] != expanded[:, 2]
         assert np.array_equal(subject_changed, ~object_changed)
         assert np.all(neg[neg[:, 0] != expanded[:, 0], 0] < small_kg.n_entities)
+
+
+class TestGradientScatter:
+    def test_repeated_rows_sum_into_each_table(self, small_kg):
+        model = init_embeddings(small_kg, 6, seed=3)
+        base = small_kg.to_index_array()[:4]
+        s0, r1 = int(base[0, 0]), int(base[1, 1])
+        # every triple twice, one entity as both subject and object, and an
+        # object reused as a subject: rows that collide in every table
+        idx = np.concatenate((
+            base, base[::-1], [[s0, r1, s0], [int(base[2, 2]), r1, s0]]
+        ))
+        g = np.random.default_rng(4).normal(size=idx.shape[0])
+        s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
+        gathered = (
+            model.ent_re[s], model.ent_im[s],
+            model.rel_re[r], model.rel_im[r],
+            model.ent_re[o], model.ent_im[o],
+        )
+        grads = _table_gradients(model, idx, gathered, g)
+
+        expected = {name: np.zeros_like(getattr(model, name)) for name in _TABLES}
+        for (si, ri, oi), gi in zip(idx, g):
+            partials = score_gradient(
+                model, model.entities[si], model.relations[ri], model.entities[oi]
+            )
+            for part in ("re", "im"):
+                expected[f"ent_{part}"][si] += gi * partials[f"s_{part}"]
+                expected[f"ent_{part}"][oi] += gi * partials[f"o_{part}"]
+                expected[f"rel_{part}"][ri] += gi * partials[f"r_{part}"]
+        assert len(grads) == len(_TABLES)
+        for name, got in zip(_TABLES, grads):
+            assert got.shape == expected[name].shape
+            assert np.allclose(got, expected[name], rtol=1e-12, atol=1e-15), name
 
 
 def make_split(corpus_seed=1, n_docs=3, validation=True):
@@ -343,6 +397,22 @@ class TestTrainLoop:
         ]
         assert result.best_mrr == pytest.approx(max(checks))
 
+    def test_last_epoch_is_checked(self):
+        # max_epochs below check_every: the run still ends with a check, so
+        # it returns the trained model rather than the untrained snapshot
+        split = make_split()
+        cfg = TrainingConfig(
+            k=8, eta=4, learning_rate=0.05, batch_size=512, max_epochs=5,
+            check_every=10, patience=5, seed=0,
+        )
+        result = train(split, cfg)
+        checks = [ln.split("\t") for ln in result.history if ln.startswith("check")]
+        assert [int(epoch) for _, epoch, _ in checks] == [0, 5]
+        assert float(checks[1][2]) > float(checks[0][2])
+        assert result.best_mrr == float(checks[1][2])
+        model0 = init_embeddings(split.kg, cfg.k, cfg.seed)
+        assert not np.array_equal(result.model.ent_re, model0.ent_re)
+
     def test_empty_training_set_rejected(self):
         split = make_split()
         empty = TripleSplit(kg=split.kg, train=(), validation=(), test=())
@@ -375,7 +445,7 @@ class TestLossProperties:
         st.floats(min_value=0.1, max_value=5.0),
     )
     def test_finite_and_nonnegative_gradient_signs(self, f_pos, f_neg, temp):
-        loss, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, temp)
+        loss, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
         assert np.isfinite(loss)
         assert -1.0 <= d_pos <= 0.0  # pushing the positive up
         assert np.all(d_neg >= 0.0)  # pushing negatives down
@@ -384,6 +454,6 @@ class TestLossProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-20, max_value=20))
     def test_loss_decreasing_in_positive_score(self, f_pos):
-        lo, _, _ = self_adversarial_loss(f_pos, [0.0], 1.0)
-        hi, _, _ = self_adversarial_loss(f_pos + 1.0, [0.0], 1.0)
+        lo, _, _ = one_row_loss(f_pos, [0.0], 1.0)
+        hi, _, _ = one_row_loss(f_pos + 1.0, [0.0], 1.0)
         assert hi < lo
