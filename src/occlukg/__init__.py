@@ -25,10 +25,8 @@ from .scenes import (
     VehiclePosition,
     VehicleRecord,
     VehicleState,
-    estimate_distance,
     occlusion_level_from_visibility,
     parse_scene_xml,
-    quantize_distance,
     serialize_scene_xml,
     validate_document,
 )

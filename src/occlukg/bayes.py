@@ -8,6 +8,14 @@ and marginals against the generic RoadScene subject, the conditionals
 against the hypothesis' class prototype. The factorization is a
 modelling convenience, not a coherent joint distribution, so the raw
 posterior can exceed 1 and is clamped (and flagged) for decisions.
+
+Prediction reads the same few dozen triples on every frame, so two
+rules hold. Each triple's probability is computed once per (model,
+calibration) and then read back from the model's memo; assigning a new
+``model.calibration`` starts the memo afresh. After the first
+prediction the model's four embedding tables are read-only, so an
+in-place write raises instead of leaving stale probabilities behind;
+``model.copy()`` gives writable tables and an empty memo.
 """
 
 from __future__ import annotations
@@ -134,19 +142,29 @@ def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceI
     ]
 
 
+def _probability(model: ComplexModel, subject: str, relation: str, object: str) -> float:
+    """triple_probability, computed once per (model, calibration) and then memoised."""
+    memo = model.probability_memo()
+    key = (subject, relation, object)
+    p = memo.get(key)
+    if p is None:
+        p = memo[key] = triple_probability(model, subject, relation, object)
+    return p
+
+
 def prior(model: ComplexModel, h: Hypothesis) -> float:
     """Calibrated probability of <RoadScene, contains, label>."""
-    return triple_probability(model, ROAD_SCENE, "contains", h.label.value)
+    return _probability(model, ROAD_SCENE, "contains", h.label.value)
 
 
 def evidence_marginal(model: ComplexModel, e: EvidenceItem) -> float:
     """Calibrated probability of <RoadScene, e.relation, e.object>."""
-    return triple_probability(model, ROAD_SCENE, e.relation, e.object)
+    return _probability(model, ROAD_SCENE, e.relation, e.object)
 
 
 def evidence_conditional(model: ComplexModel, e: EvidenceItem, h: Hypothesis) -> float:
     """Calibrated probability of <h.prototype, e.relation, e.object>."""
-    return triple_probability(model, h.prototype, e.relation, e.object)
+    return _probability(model, h.prototype, e.relation, e.object)
 
 
 def _conditional_product(model: ComplexModel, h: Hypothesis, evidence) -> float:

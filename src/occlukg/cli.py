@@ -483,7 +483,13 @@ def cmd_train(args) -> int:
         n_val = max(1, min(int(round(validation_ratio * len(triples))), len(triples) - 1))
     chosen = rng.choice(len(triples), size=n_val, replace=False) if n_val else []
     validation = tuple(triples[i] for i in np.sort(chosen)) if n_val else ()
-    split = TripleSplit(kg=kg, train=triples, validation=validation, test=())
+    held_out = set(validation)
+    split = TripleSplit(
+        kg=kg,
+        train=tuple(t for t in triples if t not in held_out),
+        validation=validation,
+        test=(),
+    )
 
     result = train(split, config)
     out = Path(args.out)

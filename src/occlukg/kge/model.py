@@ -26,6 +26,9 @@ class CheckpointError(ValueError):
     """Raised when checkpoint bytes cannot be decoded."""
 
 
+TABLES = ("ent_re", "ent_im", "rel_re", "rel_im")
+
+
 @dataclass
 class ComplexModel:
     """Embedding tables plus the entity/relation vocabularies they index.
@@ -47,7 +50,7 @@ class ComplexModel:
         self.entities = tuple(self.entities)
         self.relations = tuple(self.relations)
         k = self.k
-        for name in ("ent_re", "ent_im", "rel_re", "rel_im"):
+        for name in TABLES:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             setattr(self, name, arr)
             if not np.isfinite(arr).all():
@@ -59,10 +62,30 @@ class ComplexModel:
         self.calibration = (float(self.calibration[0]), float(self.calibration[1]))
         self.entity_index = {e: i for i, e in enumerate(self.entities)}
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
+        self._memo: dict = {}
+        self._memo_calibration = None
 
     @property
     def k(self) -> int:
         return self.ent_re.shape[1]
+
+    def probability_memo(self) -> dict:
+        """Calibrated probabilities by (subject, relation, object), for the current calibration.
+
+        occlukg.bayes fills it, so each triple's probability is computed
+        once per model and calibration. It starts empty on every new
+        model (``copy()`` and ``load_checkpoint`` included) and again
+        whenever ``calibration`` changes. The first call for a
+        calibration makes the four tables read-only: an in-place write
+        after it raises ValueError instead of leaving stale
+        probabilities behind.
+        """
+        if self._memo_calibration != self.calibration:
+            for name in TABLES:
+                getattr(self, name).flags.writeable = False
+            self._memo = {}
+            self._memo_calibration = self.calibration
+        return self._memo
 
     def copy(self) -> "ComplexModel":
         return ComplexModel(

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.special import expit
 
 from ..kg import TripleSplit
-from .model import ComplexModel, _score_arrays, _score_partials, init_embeddings
+from .model import TABLES, ComplexModel, _score_arrays, _score_partials, init_embeddings
 from .ranking import evaluate_ranking
 
 
@@ -166,11 +166,8 @@ class TrainingResult:
         return "\n".join(self.history) + "\n" if self.history else ""
 
 
-_TABLES = ("ent_re", "ent_im", "rel_re", "rel_im")
-
-
 def _table_gradients(model: ComplexModel, idx: np.ndarray, gathered, g: np.ndarray):
-    """Gradients of sum_i g[i] * score(idx[i]) for the tables named in _TABLES, in order.
+    """Gradients of sum_i g[i] * score(idx[i]) for the tables named in TABLES, in order.
 
     ``gathered`` holds the six embedding blocks of idx's rows, as
     _score_arrays takes them.
@@ -204,7 +201,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
         raise ValueError("no training triples")
     model = init_embeddings(kg, config.k, config.seed)
     rng = np.random.default_rng(config.seed)
-    adam = {name: AdamState.for_params(getattr(model, name)) for name in _TABLES}
+    adam = {name: AdamState.for_params(getattr(model, name)) for name in TABLES}
     history: list[str] = []
     has_validation = len(splits.validation) > 0
     known = splits.all_known()
@@ -245,7 +242,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
                 )
             loss_sum += loss * n_pos
             g = np.concatenate((d_pos, d_neg.ravel()))
-            for name, grad in zip(_TABLES, _table_gradients(model, idx, gathered, g)):
+            for name, grad in zip(TABLES, _table_gradients(model, idx, gathered, g)):
                 params = getattr(model, name)
                 if config.l2 > 0:
                     grad = grad + config.l2 * params

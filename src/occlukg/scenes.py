@@ -2,8 +2,8 @@
 
 Domain types for one annotated road scene (scene-level context plus
 per-frame pedestrian and vehicle records), the XML annotation format,
-and the labeling-rule helpers (distance estimation from pixel width,
-distance bucketing, occlusion-level assignment).
+the occlusion-level labeling rule and the cross-field validator of the
+labeling rules.
 
 The XML format is strict: one ``<roadScene>`` root with a single
 ``<context>`` child followed by one or more ``<frame>`` elements.
@@ -13,7 +13,6 @@ enum value spellings are case-sensitive.
 
 from __future__ import annotations
 
-import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from enum import Enum
@@ -73,8 +72,6 @@ class VehiclePosition(str, Enum):
 # Visibility below this fraction counts as full occlusion; exactly at the
 # threshold is partial.
 FULL_OCCLUSION_VISIBILITY_THRESHOLD = 0.25
-
-DEFAULT_DISTANCE_THRESHOLDS = (10.0, 30.0)
 
 
 class SceneParseError(ValueError):
@@ -155,35 +152,6 @@ class RoadSceneDocument:
     @property
     def scene_id(self) -> str:
         return self.context.scene_id
-
-
-def estimate_distance(known_width: float, focal_length: float, pixel_width: float) -> float:
-    """Distance from pedestrian width via triangle similarity (W * F / P)."""
-    if known_width <= 0 or focal_length <= 0 or pixel_width <= 0:
-        raise ValueError(
-            "estimate_distance requires positive width, focal length and pixel width"
-        )
-    return known_width * focal_length / pixel_width
-
-
-def quantize_distance(
-    distance: float, thresholds: tuple[float, float] = DEFAULT_DISTANCE_THRESHOLDS
-) -> DistanceBucket:
-    """Map a metric distance onto the Near/Middle/Far buckets.
-
-    Boundary values land in the upper bucket: with thresholds (10, 30),
-    d=10 is Middle and d=30 is Far.
-    """
-    t_near, t_far = thresholds
-    if not (0 < t_near < t_far):
-        raise ValueError(f"thresholds must satisfy 0 < t_near < t_far, got {thresholds}")
-    if not math.isfinite(distance):
-        raise ValueError(f"distance must be finite, got {distance}")
-    if distance < t_near:
-        return DistanceBucket.NEAR
-    if distance < t_far:
-        return DistanceBucket.MIDDLE
-    return DistanceBucket.FAR
 
 
 def occlusion_level_from_visibility(

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import occlukg.bayes as bayes_module
 from occlukg.bayes import (
+    DENOMINATOR_MODES,
     HYPOTHESES,
     EvidenceItem,
     EvidenceSource,
@@ -18,7 +20,9 @@ from occlukg.bayes import (
     predict_frame,
     prior,
 )
-from occlukg.kg import PROTO_NO_PED, PROTO_OCCLUDED, PROTO_VISIBLE, ROAD_SCENE
+from occlukg.kg import PROTO_NO_PED, PROTO_OCCLUDED, PROTO_VISIBLE, ROAD_SCENE, build_linked_kg
+from occlukg.kge.calibrate import triple_probability
+from occlukg.kge.model import TABLES, init_embeddings
 from occlukg.scenes import FrameAnnotation, RoadSceneDocument, SceneLabel, Surroundings
 
 from conftest import make_context, model_with_scores
@@ -436,3 +440,93 @@ class TestPredictFrame:
         assert len(record["hypotheses"]) == 3
         for h_rec in record["hypotheses"]:
             assert set(h_rec) >= {"label", "prior", "raw", "clamped", "factors"}
+
+
+def graph_model(corpus, calibration=(1.3, -0.2)):
+    """Untrained model over the corpus' linked graph, under a non-identity map."""
+    model = init_embeddings(build_linked_kg(corpus), k=6, seed=3)
+    model.calibration = calibration
+    return model
+
+
+def predict_all(model, corpus, denominator="marginal"):
+    return [
+        predict_frame(model, doc, t, denominator=denominator)
+        for doc in corpus
+        for t in range(len(doc.frames))
+    ]
+
+
+def recorded_probabilities(preds):
+    """((subject, relation, object), value) for every probability the reports record."""
+    out = []
+    for pred in preds:
+        for r in pred.reports:
+            out.append(((ROAD_SCENE, "contains", r.hypothesis.label.value), r.prior))
+            for f in r.factors:
+                out.append(((ROAD_SCENE, f.item.relation, f.item.object), f.marginal))
+                out.append(
+                    ((r.hypothesis.prototype, f.item.relation, f.item.object), f.conditional)
+                )
+    return out
+
+
+class TestProbabilityMemo:
+    @pytest.mark.parametrize("denominator", DENOMINATOR_MODES)
+    def test_recorded_probabilities_equal_triple_probability(self, tiny_corpus, denominator):
+        model = graph_model(tiny_corpus)
+        preds = predict_all(model, tiny_corpus, denominator)
+        recorded = recorded_probabilities(preds)
+        assert len(recorded) > len({key for key, _ in recorded})
+        for (s, r, o), p in recorded:
+            assert p == triple_probability(model, s, r, o)
+        if denominator == "mixture":
+            for pred in preds:
+                den = 0.0
+                for h in HYPOTHESES:
+                    num = 1.0
+                    for e in pred.evidence:
+                        num = num * triple_probability(model, h.prototype, e.relation, e.object)
+                    den += triple_probability(model, ROAD_SCENE, "contains", h.label.value) * num
+                assert all(r.denominator == den for r in pred.reports)
+
+    def test_new_calibration_reaches_the_next_prediction(self, tiny_corpus, visible_ped_doc):
+        model = graph_model(tiny_corpus)
+        before = predict_frame(model, visible_ped_doc, 0)
+        model.calibration = (0.5, 0.7)
+        after = predict_frame(model, visible_ped_doc, 0)
+        assert after.to_record() != before.to_record()
+        assert after.to_record() == predict_frame(model.copy(), visible_ped_doc, 0).to_record()
+        for (s, r, o), p in recorded_probabilities([after]):
+            assert p == triple_probability(model, s, r, o)
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_table_write_after_prediction_raises(self, tiny_corpus, visible_ped_doc, name):
+        model = graph_model(tiny_corpus)
+        getattr(model, name)[0, 0] += 0.5
+        predict_frame(model, visible_ped_doc, 0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0, 0] += 0.5
+
+    def test_copy_of_used_model_is_writable_and_independent(self, tiny_corpus, visible_ped_doc):
+        model = graph_model(tiny_corpus)
+        before = predict_frame(model, visible_ped_doc, 0).to_record()
+        clone = model.copy()
+        for name in TABLES:
+            getattr(clone, name)[...] *= 2.0
+        assert predict_frame(clone, visible_ped_doc, 0).to_record() != before
+        assert predict_frame(model, visible_ped_doc, 0).to_record() == before
+
+    def test_each_distinct_triple_is_scored_once(self, tiny_corpus, visible_ped_doc, monkeypatch):
+        model = graph_model(tiny_corpus)
+        calls = []
+
+        def counting(model, subject, relation, object):
+            calls.append((subject, relation, object))
+            return triple_probability(model, subject, relation, object)
+
+        monkeypatch.setattr(bayes_module, "triple_probability", counting)
+        preds = predict_all(model, [visible_ped_doc])
+        queried = {key for key, _ in recorded_probabilities(preds)}
+        assert len(calls) == len(queried)
+        assert set(calls) == queried

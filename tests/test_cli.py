@@ -349,6 +349,32 @@ class TestTrain:
         assert code == EXIT_OK
         assert "n/a" in capsys.readouterr().out
 
+    def test_validation_triples_are_not_trained_on(self, kg_path, tmp_path, monkeypatch):
+        import occlukg.cli as cli_module
+
+        real_train = cli_module.train
+        splits = []
+
+        def capture(split, config):
+            splits.append(split)
+            return real_train(split, config)
+
+        monkeypatch.setattr(cli_module, "train", capture)
+        everything = set(import_kg_tsv(kg_path.read_bytes()).triples)
+        for ratio in ("0.2", "0"):
+            code = main([
+                "train", "--kg", str(kg_path), "--out", str(tmp_path / f"m{ratio}.npz"),
+                "--k", "4", "--eta", "2", "--batch", "256", "--max-epochs", "1",
+                "--validation-ratio", ratio,
+            ])
+            assert code == EXIT_OK
+        held_out, no_validation = splits
+        assert held_out.validation
+        assert not set(held_out.train) & set(held_out.validation)
+        assert set(held_out.train) | set(held_out.validation) == everything
+        assert no_validation.validation == ()
+        assert set(no_validation.train) == everything
+
     def test_flag_overrides_config_file(self, kg_path, tmp_path):
         cfg = tmp_path / "train.txt"
         cfg.write_text("k = 8\nmax_epochs = 1\n", encoding="utf-8")

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlukg.kg import TripleSplit, build_linked_kg
-from occlukg.kge.model import init_embeddings, score_gradient, score_triple
+from occlukg.kge.model import TABLES, init_embeddings, score_gradient, score_triple
 from occlukg.kge.train import (
-    _TABLES,
     AdamState,
     TrainingConfig,
     _table_gradients,
@@ -273,7 +272,7 @@ class TestGradientScatter:
         )
         grads = _table_gradients(model, idx, gathered, g)
 
-        expected = {name: np.zeros_like(getattr(model, name)) for name in _TABLES}
+        expected = {name: np.zeros_like(getattr(model, name)) for name in TABLES}
         for (si, ri, oi), gi in zip(idx, g):
             partials = score_gradient(
                 model, model.entities[si], model.relations[ri], model.entities[oi]
@@ -282,8 +281,8 @@ class TestGradientScatter:
                 expected[f"ent_{part}"][si] += gi * partials[f"s_{part}"]
                 expected[f"ent_{part}"][oi] += gi * partials[f"o_{part}"]
                 expected[f"rel_{part}"][ri] += gi * partials[f"r_{part}"]
-        assert len(grads) == len(_TABLES)
-        for name, got in zip(_TABLES, grads):
+        assert len(grads) == len(TABLES)
+        for name, got in zip(TABLES, grads):
             assert got.shape == expected[name].shape
             assert np.allclose(got, expected[name], rtol=1e-12, atol=1e-15), name
 

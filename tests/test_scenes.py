@@ -1,7 +1,5 @@
 """Scene documents: XML round-trips, schema rejection, labeling rules."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +20,8 @@ from occlukg.scenes import (
     VehiclePosition,
     VehicleRecord,
     VehicleState,
-    estimate_distance,
     occlusion_level_from_visibility,
     parse_scene_xml,
-    quantize_distance,
     serialize_scene_xml,
     validate_document,
 )
@@ -246,46 +242,6 @@ class TestRoundTripProperty:
     @given(documents)
     def test_parse_inverts_serialize(self, doc):
         assert parse_scene_xml(serialize_scene_xml(doc)) == doc
-
-
-class TestDistance:
-    def test_direct_substitution(self):
-        assert estimate_distance(0.5, 1000, 500) == 1.0
-        assert estimate_distance(0.5, 800, 8) == 50.0
-
-    def test_zero_pixel_width_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_distance(0.5, 1000, 0)
-
-    @given(
-        st.floats(min_value=0.1, max_value=2.0),
-        st.floats(min_value=100, max_value=2000),
-        st.floats(min_value=1, max_value=500),
-    )
-    def test_scaling_laws(self, width, focal, pixels):
-        base = estimate_distance(width, focal, pixels)
-        assert math.isclose(estimate_distance(width, 2 * focal, pixels), 2 * base)
-        assert math.isclose(estimate_distance(width, focal, 2 * pixels), base / 2)
-
-    def test_buckets(self):
-        assert quantize_distance(5.0) is DistanceBucket.NEAR
-        assert quantize_distance(10.0) is DistanceBucket.MIDDLE  # boundary goes up
-        assert quantize_distance(29.9) is DistanceBucket.MIDDLE
-        assert quantize_distance(30.0) is DistanceBucket.FAR
-
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            quantize_distance(5.0, thresholds=(30.0, 10.0))
-
-    def test_non_finite_distance(self):
-        with pytest.raises(ValueError):
-            quantize_distance(float("nan"))
-
-    @given(st.floats(min_value=0, max_value=100), st.floats(min_value=0, max_value=100))
-    def test_monotone_in_distance(self, d1, d2):
-        order = [DistanceBucket.NEAR, DistanceBucket.MIDDLE, DistanceBucket.FAR]
-        lo, hi = sorted([d1, d2])
-        assert order.index(quantize_distance(lo)) <= order.index(quantize_distance(hi))
 
 
 class TestOcclusionLevel:
