@@ -25,7 +25,6 @@ from .scenes import (
     VehiclePosition,
     VehicleRecord,
     VehicleState,
-    occlusion_level_from_visibility,
     parse_scene_xml,
     serialize_scene_xml,
     validate_document,
@@ -43,7 +42,6 @@ from .kg import (
     import_kg_tsv,
     kg_stats,
     link_prototypes,
-    split_corpus,
 )
 from .kge import (
     ComplexModel,

@@ -9,18 +9,25 @@ against the hypothesis' class prototype. The factorization is a
 modelling convenience, not a coherent joint distribution, so the raw
 posterior can exceed 1 and is clamped (and flagged) for decisions.
 
-Prediction reads the same few dozen triples on every frame, so two
-rules hold. Each triple's probability is computed once per (model,
-calibration) and then read back from the model's memo; assigning a new
-``model.calibration`` starts the memo afresh. After the first
-prediction the model's four embedding tables are read-only, so an
-in-place write raises instead of leaving stale probabilities behind;
-``model.copy()`` gives writable tables and an empty memo.
+``posterior`` is the one place that scores a hypothesis. One whose
+prototype the model lacks scores 0 and cannot win, and the mixture
+denominator sums only over the hypotheses whose prototype is present.
+
+Prediction reads the same few dozen triples on every frame, so each
+triple's probability is computed once per (model, calibration), checked
+against the ontology on that first computation (a bad pair raises
+ValueError from ``posterior``), and then read back from the model's
+memo; assigning a new ``model.calibration`` starts the memo afresh.
+After the first prediction the model's four embedding tables are
+read-only, so an in-place write raises instead of leaving stale
+probabilities behind; ``model.copy()`` gives writable tables and an
+empty memo.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -37,26 +44,17 @@ DENOMINATOR_MODES = ("marginal", "mixture")
 @dataclass(frozen=True)
 class Hypothesis:
     label: SceneLabel
-    prototype: str
 
-    def __post_init__(self):
-        expected = PROTOTYPE_FOR_LABEL[self.label]
-        if self.prototype != expected:
-            raise ValueError(
-                f"prototype for {self.label.value} must be {expected!r}, "
-                f"got {self.prototype!r}"
-            )
-
-    @classmethod
-    def for_label(cls, label: SceneLabel) -> "Hypothesis":
-        return cls(label=label, prototype=PROTOTYPE_FOR_LABEL[label])
+    @property
+    def prototype(self) -> str:
+        return PROTOTYPE_FOR_LABEL[self.label]
 
 
 # Decision tie order: prefer the safety-critical call.
 HYPOTHESES = (
-    Hypothesis.for_label(SceneLabel.PEDESTRIAN_OCCLUDED),
-    Hypothesis.for_label(SceneLabel.PEDESTRIAN_NOT_OCCLUDED),
-    Hypothesis.for_label(SceneLabel.NONE_PEDESTRIAN),
+    Hypothesis(SceneLabel.PEDESTRIAN_OCCLUDED),
+    Hypothesis(SceneLabel.PEDESTRIAN_NOT_OCCLUDED),
+    Hypothesis(SceneLabel.NONE_PEDESTRIAN),
 )
 
 
@@ -71,12 +69,6 @@ class EvidenceItem:
     object: str
     source: EvidenceSource
 
-    def __post_init__(self):
-        # Prototype-subject form is exactly how the item will be scored.
-        problem = ONTOLOGY.check(Triple(ROAD_SCENE, self.relation, self.object))
-        if problem:
-            raise ValueError(f"evidence item fails ontology check: {problem}")
-
 
 @dataclass(frozen=True)
 class EvidenceFactor:
@@ -84,6 +76,11 @@ class EvidenceFactor:
     marginal: float
     conditional: float
     ratio: float
+
+
+def _product(values) -> float:
+    """Left-to-right product from 1.0, the one order every posterior uses."""
+    return math.prod(values, start=1.0)
 
 
 @dataclass(frozen=True)
@@ -97,14 +94,10 @@ class PosteriorReport:
     clamp_flagged: bool
     denominator_mode: str
     predicted_label: Optional[SceneLabel] = None
-    horizon: Optional[int] = None
 
     def recompute_raw(self) -> float:
         """Re-derive raw from recorded factors (exact in marginal mode)."""
-        num = 1.0
-        for f in self.factors:
-            num = num * f.conditional
-        return self.prior * num / self.denominator
+        return self.prior * _product(f.conditional for f in self.factors) / self.denominator
 
     def to_record(self) -> dict:
         return {
@@ -143,11 +136,14 @@ def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceI
 
 
 def _probability(model: ComplexModel, subject: str, relation: str, object: str) -> float:
-    """triple_probability, computed once per (model, calibration) and then memoised."""
+    """triple_probability, ontology-checked and computed once per (model, calibration)."""
     memo = model.probability_memo()
     key = (subject, relation, object)
     p = memo.get(key)
     if p is None:
+        problem = ONTOLOGY.check(Triple(subject, relation, object))
+        if problem:
+            raise ValueError(f"triple fails ontology check: {problem}")
         p = memo[key] = triple_probability(model, subject, relation, object)
     return p
 
@@ -167,13 +163,6 @@ def evidence_conditional(model: ComplexModel, e: EvidenceItem, h: Hypothesis) ->
     return _probability(model, h.prototype, e.relation, e.object)
 
 
-def _conditional_product(model: ComplexModel, h: Hypothesis, evidence) -> float:
-    num = 1.0
-    for e in evidence:
-        num = num * evidence_conditional(model, e, h)
-    return num
-
-
 def posterior(
     model: ComplexModel,
     h: Hypothesis,
@@ -184,29 +173,33 @@ def posterior(
 
     "marginal": D = Π P(e_i) against the generic RoadScene subject
     (empty product = 1, so no evidence reproduces the prior exactly).
-    "mixture": D = Σ_h' P(h')·Π P(e_i|h'), which normalizes the three
-    posteriors to a proper distribution. Raw values above 1 (possible
-    in marginal mode: the factors are calibrated scores, not a joint
-    law) are clamped and flagged.
+    "mixture": D = Σ_h' P(h')·Π P(e_i|h') over the hypotheses whose
+    prototype the model has, which normalizes their posteriors to a
+    proper distribution. Raw values above 1 (possible in marginal mode:
+    the factors are calibrated scores, not a joint law) are clamped and
+    flagged. If the model lacks h's prototype the report is all zero:
+    prior 0, no factors, denominator 1.
     """
     if denominator not in DENOMINATOR_MODES:
         raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
+    if h.prototype not in model.entity_index:
+        return PosteriorReport(hypothesis=h, prior=0.0, factors=(), denominator=1.0, raw=0.0,
+                               clamped=0.0, clamp_flagged=False, denominator_mode=denominator)
     factors = []
     for e in evidence:
         marg = evidence_marginal(model, e)
         cond = evidence_conditional(model, e, h)
         factors.append(EvidenceFactor(item=e, marginal=marg, conditional=cond, ratio=cond / marg))
-    num = 1.0
-    for f in factors:
-        num = num * f.conditional
+    num = _product(f.conditional for f in factors)
     if denominator == "marginal":
-        den = 1.0
-        for f in factors:
-            den = den * f.marginal
+        den = _product(f.marginal for f in factors)
     else:
         den = 0.0
         for other in HYPOTHESES:
-            den += prior(model, other) * _conditional_product(model, other, evidence)
+            if other.prototype in model.entity_index:
+                den += prior(model, other) * _product(
+                    evidence_conditional(model, e, other) for e in evidence
+                )
     p_h = prior(model, h)
     raw = p_h * num / den
     clamped = min(max(raw, 0.0), 1.0)
@@ -265,65 +258,26 @@ def predict_frame(
     fixed order Occluded > NotOccluded > None. Ground truth is read
     from frame min(t+horizon, last); running past the end sets the
     truncated flag. Evidence whose value entity is missing from the
-    model vocabulary is dropped (and recorded) rather than scored;
-    hypotheses whose prototype is missing score 0 and cannot win.
+    model vocabulary is dropped (and recorded) rather than scored.
     """
-    if len(doc.frames) == 0:
-        raise ValueError("document has no frames")
-    if not 0 <= t < len(doc.frames):
-        raise IndexError(f"frame index {t} out of range for {len(doc.frames)} frames")
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    all_evidence = extract_evidence(doc, t)
-    usable = [e for e in all_evidence if e.object in model.entity_index]
-    dropped = [e for e in all_evidence if e.object not in model.entity_index]
-
-    reports: list[PosteriorReport] = []
-    best: Optional[tuple[float, Hypothesis]] = None
-    target = min(t + horizon, len(doc.frames) - 1)
-    truncated = t + horizon > len(doc.frames) - 1
-    for h in HYPOTHESES:
-        if h.prototype in model.entity_index:
-            rep = posterior(model, h, usable, denominator=denominator)
-        else:
-            rep = PosteriorReport(
-                hypothesis=h,
-                prior=0.0,
-                factors=(),
-                denominator=1.0,
-                raw=0.0,
-                clamped=0.0,
-                clamp_flagged=False,
-                denominator_mode=denominator,
-            )
-        if best is None or rep.clamped > best[0]:
-            best = (rep.clamped, h)
-        reports.append(rep)
-    predicted = best[1].label
-    reports = [
-        PosteriorReport(
-            hypothesis=r.hypothesis,
-            prior=r.prior,
-            factors=r.factors,
-            denominator=r.denominator,
-            raw=r.raw,
-            clamped=r.clamped,
-            clamp_flagged=r.clamp_flagged,
-            denominator_mode=r.denominator_mode,
-            predicted_label=predicted,
-            horizon=horizon,
-        )
-        for r in reports
-    ]
+    usable: list[EvidenceItem] = []
+    dropped: list[EvidenceItem] = []
+    for e in extract_evidence(doc, t):
+        (usable if e.object in model.entity_index else dropped).append(e)
+    reports = [posterior(model, h, usable, denominator=denominator) for h in HYPOTHESES]
+    predicted = max(reports, key=lambda r: r.clamped).hypothesis.label  # first maximum
+    last = len(doc.frames) - 1
     return FramePrediction(
         scene_id=doc.scene_id,
         frame_index=t,
         frame_number=doc.frames[t].frame_number,
         horizon=horizon,
-        truncated=truncated,
+        truncated=t + horizon > last,
         predicted=predicted,
-        ground_truth=doc.frames[target].pedestrians_scene,
-        reports=tuple(reports),
+        ground_truth=doc.frames[min(t + horizon, last)].pedestrians_scene,
+        reports=tuple(replace(r, predicted_label=predicted) for r in reports),
         evidence=tuple(usable),
         dropped_evidence=tuple(dropped),
     )

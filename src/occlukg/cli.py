@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import DENOMINATOR_MODES, predict_frame
+from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, predict_frame
 from .harness import (
     ExperimentSpec,
     render_report,
@@ -34,6 +34,7 @@ from .kg import (
     export_kg_tsv,
     import_kg_tsv,
     kg_stats,
+    validation_count,
 )
 from .kge.model import CheckpointError, load_checkpoint, save_checkpoint
 from .kge.train import TrainingConfig, train
@@ -287,42 +288,36 @@ def _parse_env_list(key: str, value: str) -> tuple[Environment, ...]:
 
 
 def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec, bool]:
-    """(spec, cross_environment flag) from a flat mapping."""
-    train_envs: tuple[Environment, ...] = (Environment.VIRTUAL,)
-    test_envs: tuple[Environment, ...] = (Environment.VIRTUAL,)
+    """(spec, cross_environment flag) from a flat mapping.
+
+    ExperimentSpec receives only the fields the mapping sets, so its
+    defaults apply to the rest. It requires both environment lists, so
+    they default to Virtual here.
+    """
+    fields: dict[str, object] = {
+        "train_environments": (Environment.VIRTUAL,),
+        "test_environments": (Environment.VIRTUAL,),
+    }
     counts: dict[Environment, list[int]] = {}
-    horizon = 30
-    seed = 0
-    denominator = "marginal"
-    validation_ratio = 0.1
-    calibrate_scores = True
     cross = False
     training_raw: dict[str, str] = {}
 
     for key, value in raw.items():
         parts = key.split(".")
-        if key == "train_environments":
-            train_envs = _parse_env_list(key, value)
-        elif key == "test_environments":
-            test_envs = _parse_env_list(key, value)
+        if key in ("train_environments", "test_environments"):
+            fields[key] = _parse_env_list(key, value)
         elif len(parts) == 3 and parts[0] == "counts" and parts[2] in ("train", "test"):
             env = _parse_enum(key, parts[1], Environment)
             pair = counts.setdefault(env, [0, 0])
             pair[0 if parts[2] == "train" else 1] = _parse_int(key, value)
-        elif key == "horizon":
-            horizon = _parse_int(key, value)
-        elif key == "seed":
-            seed = _parse_int(key, value)
+        elif key in ("horizon", "seed"):
+            fields[key] = _parse_int(key, value)
         elif key == "denominator":
-            if value not in DENOMINATOR_MODES:
-                raise ConfigError(
-                    f"{key}: {value!r} is not one of {', '.join(DENOMINATOR_MODES)}"
-                )
-            denominator = value
+            fields[key] = value
         elif key == "validation_ratio":
-            validation_ratio = _parse_float(key, value)
+            fields[key] = _parse_float(key, value)
         elif key == "calibrate":
-            calibrate_scores = _parse_bool(key, value)
+            fields["calibrate_scores"] = _parse_bool(key, value)
         elif key == "cross_environment":
             cross = _parse_bool(key, value)
         elif parts[0] == "training":
@@ -332,18 +327,11 @@ def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec
 
     if not counts:
         raise ConfigError("spec missing counts.<Environment>.train/test entries")
-    training = training_config_from_mapping(training_raw, prefix="training.")
+    if training_raw:
+        fields["training"] = training_config_from_mapping(training_raw, prefix="training.")
     try:
         spec = ExperimentSpec(
-            train_environments=train_envs,
-            test_environments=test_envs,
-            counts={env: (pair[0], pair[1]) for env, pair in counts.items()},
-            horizon=horizon,
-            training=training,
-            seed=seed,
-            denominator=denominator,
-            validation_ratio=validation_ratio,
-            calibrate_scores=calibrate_scores,
+            counts={env: (pair[0], pair[1]) for env, pair in counts.items()}, **fields
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -441,21 +429,13 @@ def cmd_build_kg(args) -> int:
     return EXIT_OK
 
 
-def _validation_ratio(value: float) -> float:
-    if not 0.0 <= value < 1.0:
-        raise ConfigError(f"validation_ratio must lie in [0, 1), got {value!r}")
-    return value
-
-
 def cmd_train(args) -> int:
     raw = _read_config_file(args.config)
     validation_ratio = 0.1
     if "validation_ratio" in raw:
-        validation_ratio = _validation_ratio(
-            _parse_float("validation_ratio", raw.pop("validation_ratio"))
-        )
+        validation_ratio = _parse_float("validation_ratio", raw.pop("validation_ratio"))
     if args.validation_ratio is not None:
-        validation_ratio = _validation_ratio(args.validation_ratio)
+        validation_ratio = args.validation_ratio
     config = training_config_from_mapping(raw)
     overrides = {
         "k": args.k,
@@ -478,9 +458,7 @@ def cmd_train(args) -> int:
     kg = import_kg_tsv(Path(args.kg).read_bytes())
     triples = tuple(kg.sorted_triples())
     rng = np.random.default_rng(config.seed)
-    n_val = 0
-    if validation_ratio > 0 and len(triples) >= 2:
-        n_val = max(1, min(int(round(validation_ratio * len(triples))), len(triples) - 1))
+    n_val = validation_count(validation_ratio, len(triples))
     chosen = rng.choice(len(triples), size=n_val, replace=False) if n_val else []
     validation = tuple(triples[i] for i in np.sort(chosen)) if n_val else ()
     held_out = set(validation)
@@ -629,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint path (expects .vocab sidecar)")
     p.add_argument("--scene", required=True, help="scene .xml path")
     p.add_argument("--frame", type=int, required=True, help="frame index (0-based)")
-    p.add_argument("--horizon", type=int, default=30, help="look-ahead in frames")
+    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="look-ahead in frames")
     p.add_argument(
         "--denominator",
         choices=DENOMINATOR_MODES,

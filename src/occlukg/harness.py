@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import DENOMINATOR_MODES, FramePrediction, predict_frame
+from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, FramePrediction, predict_frame
 from .kg import (
     PROTO_NO_PED,
     PROTO_OCCLUDED,
@@ -43,7 +43,7 @@ class ExperimentSpec:
     train_environments: tuple[Environment, ...]
     test_environments: tuple[Environment, ...]
     counts: Mapping[Environment, tuple[int, int]]
-    horizon: int = 30
+    horizon: int = DEFAULT_HORIZON
     training: TrainingConfig = TrainingConfig()
     seed: int = 0
     denominator: str = "marginal"

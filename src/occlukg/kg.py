@@ -516,6 +516,20 @@ class FoldAssignment:
     test: tuple[RoadSceneDocument, ...]
 
 
+def validation_count(validation_ratio: float, n: int) -> int:
+    """How many of n items to hold out for validation.
+
+    round(validation_ratio · n), clipped to [1, n − 1] so both sides keep
+    an item; 0 when the ratio is 0 or n < 2. A ratio outside [0, 1)
+    raises SplitError.
+    """
+    if not 0.0 <= validation_ratio < 1.0:
+        raise SplitError(f"validation_ratio must lie in [0, 1), got {validation_ratio!r}")
+    if validation_ratio == 0 or n < 2:
+        return 0
+    return max(1, min(int(round(validation_ratio * n)), n - 1))
+
+
 def assign_folds(
     corpus: Sequence[RoadSceneDocument],
     counts: Mapping[Environment, tuple[int, int]],
@@ -525,9 +539,9 @@ def assign_folds(
     """Assign scenes to train/validation/test folds per environment.
 
     ``counts`` maps each environment to (train, test) scene counts; the
-    validation fold is carved out of the train allotment at
-    ``validation_ratio`` (at least one scene where the allotment
-    permits). Deterministic under ``seed`` regardless of document order.
+    validation fold is carved out of the train allotment by
+    ``validation_count``. Deterministic under ``seed`` regardless of
+    document order.
     """
     by_env: dict[Environment, list[RoadSceneDocument]] = {}
     for doc in sorted(corpus, key=lambda d: d.scene_id):
@@ -551,11 +565,7 @@ def assign_folds(
         picked = [available[i] for i in order]
         test_docs.extend(picked[:n_test])
         pool = picked[n_test : n_test + n_train]
-        n_val = int(round(validation_ratio * len(pool)))
-        if validation_ratio > 0 and len(pool) >= 2:
-            n_val = max(1, min(n_val, len(pool) - 1))
-        else:
-            n_val = 0
+        n_val = validation_count(validation_ratio, len(pool))
         val_docs.extend(pool[:n_val])
         train_docs.extend(pool[n_val:])
 
@@ -590,13 +600,3 @@ def make_split(folds: FoldAssignment) -> TripleSplit:
         validation_scene_ids=frozenset(d.scene_id for d in folds.validation),
         test_scene_ids=frozenset(d.scene_id for d in folds.test),
     )
-
-
-def split_corpus(
-    corpus: Sequence[RoadSceneDocument],
-    counts: Mapping[Environment, tuple[int, int]],
-    seed: int,
-    validation_ratio: float = 0.1,
-) -> TripleSplit:
-    """assign_folds followed by make_split."""
-    return make_split(assign_folds(corpus, counts, seed, validation_ratio))

@@ -154,24 +154,6 @@ class RoadSceneDocument:
         return self.context.scene_id
 
 
-def occlusion_level_from_visibility(
-    detector_detected: bool, visible_fraction: float
-) -> OcclusionLevel:
-    """Occlusion level from detector outcome and visible body fraction.
-
-    A detected pedestrian is None-occluded regardless of the fraction.
-    Undetected pedestrians are Full below 25% visibility, Partial at or
-    above it (0.25 itself maps to Partial).
-    """
-    if not (0.0 <= visible_fraction <= 1.0):
-        raise ValueError(f"visible_fraction must be in [0, 1], got {visible_fraction}")
-    if detector_detected:
-        return OcclusionLevel.NONE
-    if visible_fraction < FULL_OCCLUSION_VISIBILITY_THRESHOLD:
-        return OcclusionLevel.FULL
-    return OcclusionLevel.PARTIAL
-
-
 def validate_document(doc: RoadSceneDocument) -> list[str]:
     """Cross-field consistency check. Returns violation descriptions, [] if clean."""
     violations: list[str] = []

@@ -249,7 +249,7 @@ _EVIDENCE_POOL = (
     ("hasLanes", "LaneCount_3"),
 )
 
-_OCCLUDED = Hypothesis.for_label(SceneLabel.PEDESTRIAN_OCCLUDED)
+_OCCLUDED = Hypothesis(SceneLabel.PEDESTRIAN_OCCLUDED)
 
 
 def _logit(p: float) -> float:

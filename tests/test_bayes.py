@@ -33,7 +33,7 @@ def logit(p):
 
 
 def occluded_hypothesis():
-    return Hypothesis.for_label(SceneLabel.PEDESTRIAN_OCCLUDED)
+    return Hypothesis(SceneLabel.PEDESTRIAN_OCCLUDED)
 
 
 def item(relation="hasSurroundings", object="Vegetation", source=EvidenceSource.CONTEXT):
@@ -44,27 +44,23 @@ def probability_model(entries, priors=(0.3, 0.3, 0.3)):
     """Model whose calibrated probabilities hit the given values exactly.
 
     ``entries`` maps (subject, relation, object) -> probability; the
-    class priors for the three hypotheses are planted as well so
-    predict_frame never sees a missing prototype.
+    class priors for the three hypotheses are planted as well, and so
+    are the prototypes, so posterior never sees a missing prototype.
     """
     scores = {}
     for (s, r, o), p in entries.items():
         scores[(s, r, o)] = logit(p)
     for h, p in zip(HYPOTHESES, priors):
-        key = (ROAD_SCENE, "contains", h.label.value)
-        scores.setdefault(key, logit(p))
+        scores.setdefault((ROAD_SCENE, "contains", h.label.value), logit(p))
+        scores.setdefault((h.prototype, "contains", h.label.value), 0.0)
     return model_with_scores(scores)
 
 
 class TestHypothesis:
     def test_for_label_prototypes(self):
-        assert Hypothesis.for_label(SceneLabel.PEDESTRIAN_OCCLUDED).prototype == PROTO_OCCLUDED
-        assert Hypothesis.for_label(SceneLabel.PEDESTRIAN_NOT_OCCLUDED).prototype == PROTO_VISIBLE
-        assert Hypothesis.for_label(SceneLabel.NONE_PEDESTRIAN).prototype == PROTO_NO_PED
-
-    def test_rejects_mismatched_prototype(self):
-        with pytest.raises(ValueError, match="prototype"):
-            Hypothesis(label=SceneLabel.PEDESTRIAN_OCCLUDED, prototype=PROTO_NO_PED)
+        assert Hypothesis(SceneLabel.PEDESTRIAN_OCCLUDED).prototype == PROTO_OCCLUDED
+        assert Hypothesis(SceneLabel.PEDESTRIAN_NOT_OCCLUDED).prototype == PROTO_VISIBLE
+        assert Hypothesis(SceneLabel.NONE_PEDESTRIAN).prototype == PROTO_NO_PED
 
     def test_fixed_decision_order(self):
         assert [h.label for h in HYPOTHESES] == [
@@ -75,19 +71,28 @@ class TestHypothesis:
 
 
 class TestEvidenceItem:
+    """posterior checks each triple it scores against the ontology."""
+
+    @staticmethod
+    def score(relation, object):
+        model = probability_model({
+            (ROAD_SCENE, relation, object): 0.4,
+            (PROTO_OCCLUDED, relation, object): 0.6,
+        })
+        return posterior(model, occluded_hypothesis(), [item(relation=relation, object=object)])
+
     def test_valid_items(self):
-        item(relation="thereIs", object="ZebraCrossing")
-        item(relation="hasLanes", object="LaneCount_3")
-        item(relation="includes", object="VehDecelerating", source=EvidenceSource.VEHICLE)
-        item(relation="hasBrakingLights", object="On", source=EvidenceSource.VEHICLE)
+        for relation, object in [("thereIs", "ZebraCrossing"), ("hasLanes", "LaneCount_3"),
+                                 ("includes", "VehDecelerating"), ("hasBrakingLights", "On")]:
+            assert self.score(relation, object).raw == pytest.approx(0.3 * 0.6 / 0.4, abs=1e-12)
 
     def test_rejects_ontology_violation(self):
         with pytest.raises(ValueError, match="ontology"):
-            item(relation="thereIs", object="Vegetation")
+            self.score("thereIs", "Vegetation")
 
     def test_rejects_unknown_relation(self):
         with pytest.raises(ValueError, match="ontology"):
-            item(relation="surroundedBy", object="Vegetation")
+            self.score("surroundedBy", "Vegetation")
 
 
 class TestExtractEvidence:
@@ -416,9 +421,31 @@ class TestPredictFrame:
         )
         pred = predict_frame(model, visible_ped_doc, 0, horizon=5)
         assert len(pred.reports) == 3
+        assert pred.horizon == 5
         for rep in pred.reports:
             assert rep.predicted_label is pred.predicted
-            assert rep.horizon == 5
+
+    def test_missing_prototype_scores_zero_in_mixture_mode(self, visible_ped_doc):
+        # a training fold without occluded scenes: neither the prototype
+        # nor the label entity exists, so that hypothesis must score 0
+        # and drop out of the mixture denominator instead of raising
+        items = [(e.relation, e.object) for e in extract_evidence(visible_ped_doc, 0)]
+        entries = {}
+        for rel, obj in items:
+            entries[(ROAD_SCENE, rel, obj)] = 0.4
+            entries[(PROTO_VISIBLE, rel, obj)] = 0.7
+            entries[(PROTO_NO_PED, rel, obj)] = 0.2
+        entries[(ROAD_SCENE, "contains", SceneLabel.PEDESTRIAN_NOT_OCCLUDED.value)] = 0.45
+        entries[(ROAD_SCENE, "contains", SceneLabel.NONE_PEDESTRIAN.value)] = 0.35
+        model = model_with_scores({key: logit(p) for key, p in entries.items()})
+        assert PROTO_OCCLUDED not in model.entity_index
+        assert SceneLabel.PEDESTRIAN_OCCLUDED.value not in model.entity_index
+        pred = predict_frame(model, visible_ped_doc, 0, denominator="mixture")
+        missing, *present = pred.reports
+        assert missing.hypothesis.label is SceneLabel.PEDESTRIAN_OCCLUDED
+        assert missing.prior == 0.0 and missing.clamped == 0.0 and missing.factors == ()
+        assert abs(sum(r.raw for r in present) - 1.0) < 1e-12
+        assert pred.predicted is SceneLabel.PEDESTRIAN_NOT_OCCLUDED
 
     def test_bad_frame_index(self, visible_ped_doc):
         model = self.steering_model(PROTO_VISIBLE, self.DOC_ITEMS)

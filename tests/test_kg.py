@@ -26,7 +26,7 @@ from occlukg.kg import (
     link_prototypes,
     make_split,
     scene_entity,
-    split_corpus,
+    validation_count,
 )
 from occlukg.scenes import (
     Environment,
@@ -363,6 +363,21 @@ class TestFolds:
         assert len(folds.train) == 10
 
 
+class TestValidationCount:
+    @pytest.mark.parametrize(
+        "ratio, n, expected",
+        [(0.1, 50, 5), (0.1, 10, 1), (0.04, 10, 1), (0.99, 5, 4), (0.5, 2, 1),
+         (0.1, 1, 0), (0.1, 0, 0), (0.0, 10, 0)],
+    )
+    def test_rounds_and_keeps_both_sides(self, ratio, n, expected):
+        assert validation_count(ratio, n) == expected
+
+    @pytest.mark.parametrize("ratio", [1.0, 1.5, -0.1])
+    def test_rejects_ratio_outside_unit_interval(self, ratio):
+        with pytest.raises(SplitError, match="validation_ratio"):
+            validation_count(ratio, 10)
+
+
 class TestSplit:
     @pytest.fixture
     def corpus(self, split_docs):
@@ -370,14 +385,14 @@ class TestSplit:
 
     def test_validation_and_test_stay_in_train_vocabulary(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
-        split = split_corpus(corpus, counts, seed=0)
+        split = make_split(assign_folds(corpus, counts, seed=0))
         vocab = set(split.kg.entities)
         for t in (*split.validation, *split.test):
             assert t.subject in vocab and t.object in vocab
 
     def test_train_triples_are_the_graph(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
-        split = split_corpus(corpus, counts, seed=0)
+        split = make_split(assign_folds(corpus, counts, seed=0))
         assert set(split.train) == set(split.kg.triples)
 
     def test_scene_ids_recorded(self, corpus):
@@ -389,7 +404,7 @@ class TestSplit:
 
     def test_no_frame_entities_cross_folds(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
-        split = split_corpus(corpus, counts, seed=0)
+        split = make_split(assign_folds(corpus, counts, seed=0))
         test_scene_prefixes = tuple(f"frame:{sid}" for sid in split.test_scene_ids)
         for entity in split.kg.entities:
             assert not entity.startswith(test_scene_prefixes)

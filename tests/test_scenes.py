@@ -20,7 +20,6 @@ from occlukg.scenes import (
     VehiclePosition,
     VehicleRecord,
     VehicleState,
-    occlusion_level_from_visibility,
     parse_scene_xml,
     serialize_scene_xml,
     validate_document,
@@ -242,29 +241,6 @@ class TestRoundTripProperty:
     @given(documents)
     def test_parse_inverts_serialize(self, doc):
         assert parse_scene_xml(serialize_scene_xml(doc)) == doc
-
-
-class TestOcclusionLevel:
-    def test_detected_is_never_occluded(self):
-        assert occlusion_level_from_visibility(True, 1.0) is OcclusionLevel.NONE
-        assert occlusion_level_from_visibility(True, 0.0) is OcclusionLevel.NONE
-
-    def test_low_visibility_is_full(self):
-        assert occlusion_level_from_visibility(False, 0.20) is OcclusionLevel.FULL
-
-    def test_high_visibility_is_partial(self):
-        assert occlusion_level_from_visibility(False, 0.50) is OcclusionLevel.PARTIAL
-
-    def test_threshold_boundary_is_partial(self):
-        assert occlusion_level_from_visibility(False, 0.25) is OcclusionLevel.PARTIAL
-
-    def test_fraction_out_of_range(self):
-        with pytest.raises(ValueError):
-            occlusion_level_from_visibility(False, 1.5)
-
-    @given(st.booleans(), st.floats(min_value=0.0, max_value=1.0))
-    def test_total_on_domain(self, detected, fraction):
-        assert occlusion_level_from_visibility(detected, fraction) in OcclusionLevel
 
 
 class TestValidateDocument:
