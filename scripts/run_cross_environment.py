@@ -2,8 +2,8 @@
 
 Runs the six Real/Virtual/Mixed train-test pairings under one shared
 fold assignment, so each pairing is scored on the same held-out scenes
-per test environment.  Expect roughly ten minutes with the default
-training settings; --epochs trades accuracy for speed.
+per test environment.  Expect about four minutes on two cores with the
+default training settings; --epochs trades accuracy for speed.
 """
 
 import argparse

@@ -1,9 +1,13 @@
 """Mini-batch trainer: corruption sampling, self-adversarial loss, Adam.
 
-Gradients are computed analytically from the score's four-term real
-form, summed into dense tables by one sparse one-hot product per table
-pair (each row adds its contributions in batch order, so the result is
-deterministic), and applied with one Adam step per batch over all four
+Each corruption keeps its positive's relation and one of its entities,
+so a batch is scored and differentiated through the positives' partials:
+a corruption scores as its replacement entity's row times the partial of
+the side it replaced, and the corruptions' pull on the kept entities and
+the relation is summed per positive before the partials are applied.
+Gradient rows are summed into dense tables by sparse one-hot products
+(each output row adds its terms in a fixed order, so the result is
+deterministic) and applied with one Adam step per batch over all four
 embedding tables. Early stopping tracks filtered MRR on the validation
 triples and returns the best snapshot seen.
 """
@@ -143,15 +147,16 @@ def self_adversarial_loss(
     return loss, d_pos, d_neg
 
 
-def _scatter_rows(idx: np.ndarray, weights: np.ndarray, values: np.ndarray, n_rows: int):
-    """(n_rows, cols) array whose row j is the sum of weights[i] * values[i] over idx[i] == j.
+def _sum_rows(
+    values: np.ndarray, out_rows: np.ndarray, in_rows: np.ndarray, weights: np.ndarray, n_out: int
+) -> np.ndarray:
+    """(n_out, cols) array: row j sums weights[i] * values[in_rows[i]] over out_rows[i] == j.
 
-    Computed as a CSR one-hot matrix (data = weights) times ``values``;
-    each output row adds its terms in input order.
+    Computed as one CSR matrix (data = weights) times ``values``; each
+    output row adds its terms in input order, so the result is
+    deterministic.
     """
-    onehot = sparse.csr_array(
-        (weights, (idx, np.arange(idx.shape[0]))), shape=(n_rows, idx.shape[0])
-    )
+    onehot = sparse.csr_array((weights, (out_rows, in_rows)), shape=(n_out, values.shape[0]))
     return onehot @ values
 
 
@@ -166,23 +171,70 @@ class TrainingResult:
         return "\n".join(self.history) + "\n" if self.history else ""
 
 
-def _table_gradients(model: ComplexModel, idx: np.ndarray, gathered, g: np.ndarray):
-    """Gradients of sum_i g[i] * score(idx[i]) for the tables named in TABLES, in order.
+def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperature: float):
+    """Loss, scores and table gradients of one batch of positives and their corruptions.
 
-    ``gathered`` holds the six embedding blocks of idx's rows, as
-    _score_arrays takes them.
+    ``neg`` is corrupt_batch's output for ``pos``: eta rows per positive,
+    each keeping the positive's relation and one of its entities and
+    replacing the other with a different entity, so the side replaced
+    is the one whose subject differs. A corruption scores as its
+    replacement's [re|im] row dotted with the positive's partial for
+    that side, P_s(r, o) or P_o(s, r). The partials are linear in each
+    entity, so the corruptions' pull on the kept rows sums per positive
+    first: A_s = sum g_j e_{c_j} over its subject corruptions, A_o over
+    its object ones. With g the positive's loss partial, the gradients
+    are s: P_s(r, g o + A_o), o: P_o(g s + A_s, r),
+    r: P_r(g s + A_s, o) + P_r(s, A_o), and g_j times the side's partial
+    for each replacement c_j.
+
+    Returns (mean loss, positive scores (n,), corruption scores (n, eta),
+    gradients of the loss for the tables named in TABLES, in order).
     """
-    s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
-    p = _score_partials(*gathered)
-    k = model.k
-    grad_ent = _scatter_rows(
-        np.concatenate((s, o)),
-        np.concatenate((g, g)),
-        np.block([[p["s_re"], p["s_im"]], [p["o_re"], p["o_im"]]]),
+    n, k = pos.shape[0], model.k
+    eta = neg.shape[0] // n
+    s, r, o = pos[:, 0], pos[:, 1], pos[:, 2]
+    s_re, s_im = model.ent_re[s], model.ent_im[s]
+    r_re, r_im = model.rel_re[r], model.rel_im[r]
+    o_re, o_im = model.ent_re[o], model.ent_im[o]
+    p = _score_partials(s_re, s_im, r_re, r_im, o_re, o_im)
+    # rows :n hold P_s(r, o), rows n: hold P_o(s, r)
+    side_partials = np.block([[p["s_re"], p["s_im"]], [p["o_re"], p["o_im"]]])
+
+    owner = np.repeat(np.arange(n), eta)
+    subject_side = neg[:, 0] != s[owner]
+    replacement = np.where(subject_side, neg[:, 0], neg[:, 2])
+    partial_row = np.where(subject_side, owner, owner + n)
+    ent = np.hstack((model.ent_re, model.ent_im))
+    pos_scores = _score_arrays(s_re, s_im, r_re, r_im, o_re, o_im)
+    neg_scores = np.einsum(
+        "ij,ij->i", ent[replacement], side_partials[partial_row]
+    ).reshape(n, eta)
+    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores, temperature)
+
+    g, g_c = d_pos[:, None], d_neg.ravel()
+    a = _sum_rows(ent, partial_row, replacement, g_c, 2 * n)  # rows :n A_s, rows n: A_o
+    ks_re, ks_im = g * s_re + a[:n, :k], g * s_im + a[:n, k:]
+    ko_re, ko_im = g * o_re + a[n:, :k], g * o_im + a[n:, k:]
+    kept = _score_partials(ks_re, ks_im, r_re, r_im, ko_re, ko_im)
+    rel_s = _score_partials(ks_re, ks_im, r_re, r_im, o_re, o_im)
+    rel_o = _score_partials(s_re, s_im, r_re, r_im, a[n:, :k], a[n:, k:])
+    ent_values = np.vstack((
+        np.block([[kept["s_re"], kept["s_im"]], [kept["o_re"], kept["o_im"]]]),
+        side_partials,
+    ))
+    grad_ent = _sum_rows(
+        ent_values,
+        np.concatenate((s, o, replacement)),
+        np.concatenate((np.arange(2 * n), 2 * n + partial_row)),
+        np.concatenate((np.ones(2 * n), g_c)),
         model.ent_re.shape[0],
     )
-    grad_rel = _scatter_rows(r, g, np.hstack((p["r_re"], p["r_im"])), model.rel_re.shape[0])
-    return grad_ent[:, :k], grad_ent[:, k:], grad_rel[:, :k], grad_rel[:, k:]
+    grad_rel = _sum_rows(
+        np.hstack((rel_s["r_re"] + rel_o["r_re"], rel_s["r_im"] + rel_o["r_im"])),
+        r, np.arange(n), np.ones(n), model.rel_re.shape[0],
+    )
+    grads = (grad_ent[:, :k], grad_ent[:, k:], grad_rel[:, :k], grad_rel[:, k:])
+    return loss, pos_scores, neg_scores, grads
 
 
 def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
@@ -221,28 +273,14 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             pos = train_idx[order[start : start + config.batch_size]]
             neg = corrupt_batch(pos, config.eta, kg.n_entities, rng)
-            idx = np.concatenate((pos, neg))
-            s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
-            gathered = (
-                model.ent_re[s], model.ent_im[s],
-                model.rel_re[r], model.rel_im[r],
-                model.ent_re[o], model.ent_im[o],
-            )
-            scores = _score_arrays(*gathered)
-            n_pos = pos.shape[0]
-            pos_scores = scores[:n_pos]
-            neg_scores = scores[n_pos:].reshape(n_pos, config.eta)
-            loss, d_pos, d_neg = self_adversarial_loss(
-                pos_scores, neg_scores, config.adversarial_temperature
-            )
+            loss, _, _, grads = _batch_step(model, pos, neg, config.adversarial_temperature)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "
-                    f"(batch size {n_pos})"
+                    f"(batch size {pos.shape[0]})"
                 )
-            loss_sum += loss * n_pos
-            g = np.concatenate((d_pos, d_neg.ravel()))
-            for name, grad in zip(TABLES, _table_gradients(model, idx, gathered, g)):
+            loss_sum += loss * pos.shape[0]
+            for name, grad in zip(TABLES, grads):
                 params = getattr(model, name)
                 if config.l2 > 0:
                     grad = grad + config.l2 * params

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlukg.kg import TripleSplit, build_linked_kg
-from occlukg.kge.model import TABLES, init_embeddings, score_gradient, score_triple
+from occlukg.kge.model import TABLES, init_embeddings, score_batch, score_gradient, score_triple
 from occlukg.kge.train import (
     AdamState,
     TrainingConfig,
-    _table_gradients,
+    _batch_step,
     adam_step,
     corrupt_batch,
     self_adversarial_loss,
@@ -256,22 +256,27 @@ class TestCorruptions:
 class TestGradientScatter:
     def test_repeated_rows_sum_into_each_table(self, small_kg):
         model = init_embeddings(small_kg, 6, seed=3)
-        base = small_kg.to_index_array()[:4]
-        s0, r1 = int(base[0, 0]), int(base[1, 1])
-        # every triple twice, one entity as both subject and object, and an
-        # object reused as a subject: rows that collide in every table
-        idx = np.concatenate((
-            base, base[::-1], [[s0, r1, s0], [int(base[2, 2]), r1, s0]]
-        ))
-        g = np.random.default_rng(4).normal(size=idx.shape[0])
-        s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
-        gathered = (
-            model.ent_re[s], model.ent_im[s],
-            model.rel_re[r], model.rel_im[r],
-            model.ent_re[o], model.ent_im[o],
-        )
-        grads = _table_gradients(model, idx, gathered, g)
+        base = small_kg.to_index_array()[:3]
+        (s0, r0, o0), (_, r1, _), (s2, r2, o2) = ([int(x) for x in row] for row in base)
+        assert s0 != o0 and s2 != o2
+        x = next(e for e in range(small_kg.n_entities) if e not in {s0, o0, s2, o2})
+        # a positive twice, a self-loop positive, replacements equal to the
+        # kept entity, and x as a replacement under every positive
+        pos = np.array([[s0, r0, o0], [s0, r0, o0], [s0, r1, s0], [s2, r2, o2]])
+        neg = np.array([
+            [o0, r0, o0], [s0, r0, x], [x, r0, o0],
+            [x, r0, o0], [s0, r0, s0], [s0, r0, x],
+            [x, r1, s0], [s0, r1, x], [o0, r1, s0],
+            [x, r2, o2], [s2, r2, x], [s2, r2, s2],
+        ])
+        # as corrupt_batch makes them: exactly one entity differs from the positive
+        assert np.array_equal((neg != np.repeat(pos, 3, axis=0)).sum(axis=1), np.ones(12))
+        _, _, _, grads = _batch_step(model, pos, neg, 0.7)
 
+        idx = np.concatenate((pos, neg))
+        scores = score_batch(model, idx)
+        _, d_pos, d_neg = self_adversarial_loss(scores[:4], scores[4:].reshape(4, 3), 0.7)
+        g = np.concatenate((d_pos, d_neg.ravel()))
         expected = {name: np.zeros_like(getattr(model, name)) for name in TABLES}
         for (si, ri, oi), gi in zip(idx, g):
             partials = score_gradient(
@@ -285,6 +290,24 @@ class TestGradientScatter:
         for name, got in zip(TABLES, grads):
             assert got.shape == expected[name].shape
             assert np.allclose(got, expected[name], rtol=1e-12, atol=1e-15), name
+
+    @pytest.mark.parametrize("eta", [1, 4])
+    def test_scores_and_loss_match_the_expanded_rows(self, small_kg, eta):
+        model = init_embeddings(small_kg, 6, seed=5)
+        train_idx = small_kg.to_index_array()[:10]
+        rng = np.random.default_rng(eta)
+        for start in range(0, 10, 4):  # batches of 4, 4 and a short last one of 2
+            pos = train_idx[start : start + 4]
+            neg = corrupt_batch(pos, eta, small_kg.n_entities, rng)
+            loss, pos_scores, neg_scores, _ = _batch_step(model, pos, neg, 1.3)
+
+            n = pos.shape[0]
+            scores = score_batch(model, np.concatenate((pos, neg)))
+            expected_neg = scores[n:].reshape(n, eta)
+            np.testing.assert_allclose(pos_scores, scores[:n], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(neg_scores, expected_neg, rtol=1e-12, atol=1e-15)
+            expected_loss, _, _ = self_adversarial_loss(scores[:n], expected_neg, 1.3)
+            assert loss == pytest.approx(expected_loss, rel=1e-12)
 
 
 def make_split(corpus_seed=1, n_docs=3, validation=True):
