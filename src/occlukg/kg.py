@@ -20,7 +20,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -125,14 +126,19 @@ def entity_kind(entity_id: str) -> EntityKind:
     return _VALUE_KINDS.get(entity_id, EntityKind.UNKNOWN)
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """A (subject, relation, object) fact.
+
+    A tuple: it equals the plain 3-tuple of its fields and sorts by
+    (subject, relation, object).
+    """
+
     subject: str
     relation: str
     object: str
 
     def as_tsv(self) -> str:
-        return f"{self.subject}\t{self.relation}\t{self.object}"
+        return "\t".join(self)
 
 
 @dataclass(frozen=True)
@@ -240,12 +246,14 @@ class KnowledgeGraph:
     relation_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "triples", frozenset(self.triples))
-        unknown = {t.relation for t in self.triples} - set(ONTOLOGY.relations)
+        triples = frozenset(self.triples)
+        object.__setattr__(self, "triples", triples)
+        relations = set(map(itemgetter(1), triples))
+        unknown = relations - ONTOLOGY.relations.keys()
         if unknown:
             raise KgBuildError(f"unknown relation(s): {', '.join(sorted(unknown))}")
-        ents = sorted({t.subject for t in self.triples} | {t.object for t in self.triples})
-        rels = sorted({t.relation for t in self.triples})
+        ents = sorted(set(map(itemgetter(0), triples)) | set(map(itemgetter(2), triples)))
+        rels = sorted(relations)
         object.__setattr__(self, "entities", tuple(ents))
         object.__setattr__(self, "relations", tuple(rels))
         object.__setattr__(self, "entity_index", {e: i for i, e in enumerate(ents)})
@@ -260,17 +268,16 @@ class KnowledgeGraph:
         return len(self.relations)
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=lambda t: (t.subject, t.relation, t.object))
+        return sorted(self.triples)
 
     def to_index_array(self, triples: Optional[Iterable[Triple]] = None) -> np.ndarray:
         """(n, 3) int array of [subject, relation, object] dense indices."""
-        source = self.sorted_triples() if triples is None else list(triples)
-        out = np.empty((len(source), 3), dtype=np.int64)
-        for i, t in enumerate(source):
-            out[i, 0] = self.entity_index[t.subject]
-            out[i, 1] = self.relation_index[t.relation]
-            out[i, 2] = self.entity_index[t.object]
-        return out
+        source = self.sorted_triples() if triples is None else triples
+        ent, rel = self.entity_index, self.relation_index
+        # Flat ints, not a row tuple each: ints are not tracked by the
+        # garbage collector, so a large graph adds no collections here.
+        flat = [i for s, r, o in source for i in (ent[s], rel[r], ent[o])]
+        return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
 
 def export_kg_tsv(kg: KnowledgeGraph) -> bytes:
@@ -287,7 +294,7 @@ def import_kg_tsv(data: bytes) -> KnowledgeGraph:
         parts = line.split("\t")
         if len(parts) != 3:
             raise KgBuildError(f"line {lineno}: expected 3 tab-separated fields")
-        triples.add(Triple(*parts))
+        triples.add(Triple._make(parts))
     return KnowledgeGraph(triples=frozenset(triples))
 
 
@@ -331,7 +338,8 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
     Emits per-scene context triples, the frame chain, per-frame scene
     labels, pedestrian occlusion levels and vehicle records. Documents
     must pass validate_document; every emitted triple is type-checked
-    against the ontology.
+    against the ontology, through one triple per (relation, subject kind,
+    object kind) signature.
     """
     triples: set[Triple] = set()
     seen_ids: set[str] = set()
@@ -373,11 +381,16 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
                 triples.add(Triple(v_ent, "hasDistance", v.distance.value))
                 triples.add(Triple(v_ent, "hasPosition", v.position.value))
 
-    for t in triples:
+    kg = KnowledgeGraph(triples=frozenset(triples))
+    # ONTOLOGY.check's verdict depends only on the relation and the two
+    # entity kinds, so one triple per signature stands for all of them.
+    kinds = {e: entity_kind(e) for e in kg.entities}
+    by_signature = {(t.relation, kinds[t.subject], kinds[t.object]): t for t in kg.triples}
+    for t in by_signature.values():
         problem = ONTOLOGY.check(t)
         if problem:
             raise KgBuildError(f"emitted triple fails ontology check: {problem}")
-    return KnowledgeGraph(triples=frozenset(triples))
+    return kg
 
 
 def class_level_triples(corpus: Sequence[RoadSceneDocument]) -> set[Triple]:
@@ -388,16 +401,17 @@ def class_level_triples(corpus: Sequence[RoadSceneDocument]) -> set[Triple]:
     RoadScene entity, and its label is recorded as a contains-triple on
     both. Deduplicated by construction.
     """
-    out: set[Triple] = set()
+    pairs: dict[SceneLabel, set[tuple[str, str]]] = {}
     for doc in corpus:
         for frame in doc.frames:
-            proto = PROTOTYPE_FOR_LABEL[frame.pedestrians_scene]
-            label_value = frame.pedestrians_scene.value
-            out.add(Triple(proto, "contains", label_value))
-            out.add(Triple(ROAD_SCENE, "contains", label_value))
-            for rel, obj, _ in frame_evidence_pairs(doc, frame):
-                out.add(Triple(proto, rel, obj))
-                out.add(Triple(ROAD_SCENE, rel, obj))
+            label = frame.pedestrians_scene
+            seen = pairs.setdefault(label, set())
+            seen.add(("contains", label.value))
+            seen.update((rel, obj) for rel, obj, _ in frame_evidence_pairs(doc, frame))
+    out: set[Triple] = set()
+    for label, label_pairs in pairs.items():
+        for subject in (PROTOTYPE_FOR_LABEL[label], ROAD_SCENE):
+            out.update(Triple(subject, rel, obj) for rel, obj in label_pairs)
     return out
 
 
@@ -499,10 +513,6 @@ class TripleSplit:
         return frozenset(self.train) | frozenset(self.validation) | frozenset(self.test)
 
 
-def _sorted_triples(triples: Iterable[Triple]) -> tuple[Triple, ...]:
-    return tuple(sorted(triples, key=lambda t: (t.subject, t.relation, t.object)))
-
-
 def _in_vocabulary(triple: Triple, kg: KnowledgeGraph) -> bool:
     return triple.subject in kg.entity_index and triple.object in kg.entity_index
 
@@ -593,9 +603,9 @@ def make_split(folds: FoldAssignment) -> TripleSplit:
     test = {t for t in class_level_triples(folds.test) if _in_vocabulary(t, kg)}
     return TripleSplit(
         kg=kg,
-        train=_sorted_triples(kg.triples),
-        validation=_sorted_triples(validation),
-        test=_sorted_triples(test),
+        train=tuple(kg.sorted_triples()),
+        validation=tuple(sorted(validation)),
+        test=tuple(sorted(test)),
         train_scene_ids=frozenset(d.scene_id for d in folds.train),
         validation_scene_ids=frozenset(d.scene_id for d in folds.validation),
         test_scene_ids=frozenset(d.scene_id for d in folds.test),

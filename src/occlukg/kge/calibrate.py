@@ -75,8 +75,8 @@ def calibrate(
     model: ComplexModel, positives: Iterable[Triple], negatives: Iterable[Triple]
 ) -> CalibrationResult:
     """Fit the model's calibration map from labelled triples, in place."""
-    pos = sorted(set(positives), key=lambda t: (t.subject, t.relation, t.object))
-    neg = sorted(set(negatives), key=lambda t: (t.subject, t.relation, t.object))
+    pos = sorted(set(positives))
+    neg = sorted(set(negatives))
     result = fit_platt(
         [score_triple(model, t.subject, t.relation, t.object) for t in pos],
         [score_triple(model, t.subject, t.relation, t.object) for t in neg],

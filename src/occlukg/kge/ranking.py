@@ -48,7 +48,7 @@ def evaluate_ranking(
     true completion is 1 + the number of unfiltered other candidates
     scoring >= it.
     """
-    test_triples = sorted(set(test), key=lambda t: (t.subject, t.relation, t.object))
+    test_triples = sorted(set(test))
     if not test_triples:
         raise ValueError("empty test set")
     filter_set = set(filter)
@@ -58,23 +58,26 @@ def evaluate_ranking(
             f"filter must be a superset of the test set; missing e.g. {missing[0]}"
         )
 
-    known_objects: dict[tuple[int, int], list[int]] = {}
-    known_subjects: dict[tuple[int, int], list[int]] = {}
-    for t in filter_set:
-        try:
-            s = model.entity_index[t.subject]
-            o = model.entity_index[t.object]
-            r = model.relation_index[t.relation]
-        except KeyError:
-            continue  # out-of-vocabulary filter triples cannot be candidates
-        known_objects.setdefault((s, r), []).append(o)
-        known_subjects.setdefault((o, r), []).append(s)
+    # Only the (subject, relation) and (object, relation) keys that a test
+    # triple queries are indexed. A queried key's entity and relation are in
+    # the model's vocabulary, so a filter triple on it is a candidate unless
+    # its other entity is out of vocabulary.
+    entity_index = model.entity_index
+    known_objects: dict[tuple[str, str], list[int]] = {(s, r): [] for s, r, _ in test_triples}
+    known_subjects: dict[tuple[str, str], list[int]] = {(o, r): [] for _, r, o in test_triples}
+    for s, r, o in filter_set:
+        objects = known_objects.get((s, r))
+        if objects is not None and o in entity_index:
+            objects.append(entity_index[o])
+        subjects = known_subjects.get((o, r))
+        if subjects is not None and s in entity_index:
+            subjects.append(entity_index[s])
 
     ranks: list[tuple[int, int]] = []
     for t in test_triples:
-        s = model.entity_index[t.subject]
+        s = entity_index[t.subject]
         r = model.relation_index[t.relation]
-        o = model.entity_index[t.object]
+        o = entity_index[t.object]
         s_re, s_im = model.ent_re[s], model.ent_im[s]
         r_re, r_im = model.rel_re[r], model.rel_im[r]
         o_re, o_im = model.ent_re[o], model.ent_im[o]
@@ -83,13 +86,13 @@ def evaluate_ranking(
         a_re = s_re * r_re - s_im * r_im
         a_im = s_im * r_re + s_re * r_im
         obj_scores = model.ent_re @ a_re + model.ent_im @ a_im
-        obj_rank = _pessimistic_rank(obj_scores, o, known_objects[(s, r)])
+        obj_rank = _pessimistic_rank(obj_scores, o, known_objects[(t.subject, t.relation)])
 
         # subject direction
         b_re = r_re * o_re + r_im * o_im
         b_im = r_re * o_im - r_im * o_re
         subj_scores = model.ent_re @ b_re + model.ent_im @ b_im
-        subj_rank = _pessimistic_rank(subj_scores, s, known_subjects[(o, r)])
+        subj_rank = _pessimistic_rank(subj_scores, s, known_subjects[(t.object, t.relation)])
 
         ranks.append((subj_rank, obj_rank))
 

@@ -1,5 +1,6 @@
 """Knowledge-graph compilation, prototype linkage, splits, TSV format."""
 
+import numpy as np
 import pytest
 
 from occlukg.kg import (
@@ -7,6 +8,7 @@ from occlukg.kg import (
     PROTO_OCCLUDED,
     PROTOTYPE_FOR_LABEL,
     ROAD_SCENE,
+    VEHICLE_STATE_ENTITY,
     EntityKind,
     KgBuildError,
     KnowledgeGraph,
@@ -33,6 +35,7 @@ from occlukg.scenes import (
     FrameAnnotation,
     RoadSceneDocument,
     SceneLabel,
+    VehicleState,
 )
 from occlukg.synth import default_config, generate_corpus
 
@@ -148,6 +151,14 @@ class TestBuildKg:
         with pytest.raises(KgBuildError, match="scene-bad"):
             build_kg([bad])
 
+    def test_ontology_violation_rejected(self, monkeypatch, occluded_crossing_doc):
+        # a braking-lights value in place of a vehicle state falls outside
+        # the range of both includes and hasState
+        for state in VehicleState:
+            monkeypatch.setitem(VEHICLE_STATE_ENTITY, state, "On")
+        with pytest.raises(KgBuildError, match="ontology check"):
+            build_kg([occluded_crossing_doc])
+
 
 class TestEvidencePairs:
     def test_occluded_crossing_items(self, occluded_crossing_doc):
@@ -261,6 +272,25 @@ class TestKnowledgeGraph:
             for s, r, o in idx
         }
         assert rebuilt == set(kg.triples)
+
+    def test_sorted_triples_order_by_subject_relation_object(self, tiny_corpus):
+        kg = build_linked_kg(tiny_corpus)
+        by_fields = sorted(kg.triples, key=lambda t: (t.subject, t.relation, t.object))
+        assert kg.sorted_triples() == by_fields
+
+    def test_triple_is_an_immutable_tuple(self):
+        t = Triple("a", "thereIs", "b")
+        assert t == ("a", "thereIs", "b")
+        with pytest.raises(AttributeError):
+            t.subject = "c"
+
+    def test_empty_graph(self):
+        kg = import_kg_tsv(b"")
+        assert kg.entities == () and kg.relations == ()
+        assert export_kg_tsv(kg) == b""
+        idx = kg.to_index_array()
+        assert idx.shape == (0, 3)
+        assert idx.dtype == np.int64
 
 
 class TestTsv:

@@ -106,6 +106,22 @@ class TestOracleAgreement:
         b = evaluate_ranking(model, test, noisy)
         assert a.ranks == b.ranks
 
+    def test_filter_entries_on_every_queried_key(self):
+        # every key a test triple queries carries known entities on both
+        # sides, entries naming an out-of-vocabulary entity or relation, and
+        # the rest of the filter lies on keys no test triple queries
+        model, test, filt = random_instance(6, 14, 3, 50)
+        noisy = set(filt) | {Triple("oov-subject", "oov-relation", "oov-object")}
+        names = model.entities
+        for i, t in enumerate(test):
+            noisy.add(Triple(t.subject, t.relation, "oov-object"))
+            noisy.add(Triple("oov-subject", t.relation, t.object))
+            noisy.add(Triple(t.subject, "oov-relation", t.object))
+            noisy.update(Triple(t.subject, t.relation, o) for o in names[i % 2 :: 2])
+            noisy.update(Triple(s, t.relation, t.object) for s in names[1 - i % 2 :: 2])
+        report = evaluate_ranking(model, test, noisy)
+        assert dict(zip(report.triples, report.ranks)) == oracle_ranks(model, test, noisy)
+
 
 class TestExactFixtures:
     @staticmethod
