@@ -12,31 +12,8 @@ import json
 import time
 from pathlib import Path
 
-from occlukg.harness import ExperimentSpec, run_experiment_with_predictions
-from occlukg.kge.train import TrainingConfig
-from occlukg.scenes import Environment
+from occlukg.harness import headline_spec, run_experiment_with_predictions
 from occlukg.synth import default_config, generate_corpus
-
-
-def build_spec(args: argparse.Namespace) -> ExperimentSpec:
-    return ExperimentSpec(
-        train_environments=(Environment.VIRTUAL,),
-        test_environments=(Environment.VIRTUAL,),
-        counts={Environment.REAL: (32, 8), Environment.VIRTUAL: (50, 9)},
-        horizon=args.horizon,
-        training=TrainingConfig(
-            k=args.k,
-            eta=15,
-            learning_rate=0.05,
-            batch_size=2048,
-            max_epochs=args.epochs,
-            check_every=1000,
-            patience=5,
-            seed=args.train_seed,
-        ),
-        seed=args.fold_seed,
-        validation_ratio=0.0,
-    )
 
 
 def main() -> int:
@@ -54,7 +31,14 @@ def main() -> int:
     corpus = generate_corpus(default_config(), seed=args.corpus_seed)
     print(f"corpus: {len(corpus)} scenes, {sum(len(d.frames) for d in corpus)} frames")
 
-    report, predictions = run_experiment_with_predictions(corpus, build_spec(args))
+    spec = headline_spec(
+        horizon=args.horizon,
+        k=args.k,
+        epochs=args.epochs,
+        fold_seed=args.fold_seed,
+        train_seed=args.train_seed,
+    )
+    report, predictions = run_experiment_with_predictions(corpus, spec)
     duration = time.monotonic() - start
 
     cm = report.confusion

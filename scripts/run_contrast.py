@@ -10,8 +10,7 @@ win by a wide margin; the printed gap quantifies it.
 import argparse
 import time
 
-from occlukg.harness import ExperimentSpec, run_experiment
-from occlukg.kge.train import TrainingConfig
+from occlukg.harness import headline_spec, run_experiment
 from occlukg.scenes import Environment
 from occlukg.synth import asymmetric_corpus
 
@@ -29,29 +28,17 @@ def main() -> int:
     start = time.monotonic()
     corpus = asymmetric_corpus(seed=args.corpus_seed)
 
-    def spec(train_env: Environment) -> ExperimentSpec:
-        return ExperimentSpec(
-            train_environments=(train_env,),
-            test_environments=(Environment.VIRTUAL,),
-            counts={Environment.REAL: (32, 8), Environment.VIRTUAL: (50, 9)},
-            horizon=args.horizon,
-            training=TrainingConfig(
-                k=args.k,
-                eta=15,
-                learning_rate=0.05,
-                batch_size=2048,
-                max_epochs=args.epochs,
-                check_every=1000,
-                patience=5,
-                seed=args.train_seed,
-            ),
-            seed=args.fold_seed,
-            validation_ratio=0.0,
-        )
-
     results = {}
     for env in (Environment.VIRTUAL, Environment.REAL):
-        report = run_experiment(corpus, spec(env))
+        spec = headline_spec(
+            (env,),
+            horizon=args.horizon,
+            k=args.k,
+            epochs=args.epochs,
+            fold_seed=args.fold_seed,
+            train_seed=args.train_seed,
+        )
+        report = run_experiment(corpus, spec)
         results[env] = report
         print(f"{report.spec_echo['label']:<16} "
               f"F1 {report.f1:.3f} precision {report.precision:.3f} "

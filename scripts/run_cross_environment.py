@@ -10,9 +10,7 @@ import argparse
 import time
 from pathlib import Path
 
-from occlukg.harness import ExperimentSpec, render_report, run_cross_environment
-from occlukg.kge.train import TrainingConfig
-from occlukg.scenes import Environment
+from occlukg.harness import headline_spec, render_report, run_cross_environment
 from occlukg.synth import default_config, generate_corpus
 
 
@@ -29,23 +27,12 @@ def main() -> int:
 
     start = time.monotonic()
     corpus = generate_corpus(default_config(), seed=args.corpus_seed)
-    base = ExperimentSpec(
-        train_environments=(Environment.VIRTUAL,),
-        test_environments=(Environment.VIRTUAL,),
-        counts={Environment.REAL: (32, 8), Environment.VIRTUAL: (50, 9)},
+    base = headline_spec(
         horizon=args.horizon,
-        training=TrainingConfig(
-            k=args.k,
-            eta=15,
-            learning_rate=0.05,
-            batch_size=2048,
-            max_epochs=args.epochs,
-            check_every=1000,
-            patience=5,
-            seed=args.train_seed,
-        ),
-        seed=args.fold_seed,
-        validation_ratio=0.0,
+        k=args.k,
+        epochs=args.epochs,
+        fold_seed=args.fold_seed,
+        train_seed=args.train_seed,
     )
 
     reports = run_cross_environment(corpus, base)

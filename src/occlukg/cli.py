@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or configuration, 3 data validation,
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import sys
@@ -100,20 +101,6 @@ def _render_flat(entries: Mapping[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(key: str, value: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected number, got {value!r}") from None
-
-
 def _parse_bool(key: str, value: str) -> bool:
     if value == "true":
         return True
@@ -122,134 +109,98 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected true or false, got {value!r}")
 
 
-def _parse_enum(key: str, value: str, enum_type):
+_TYPE_NAMES = {int: "integer", float: "number"}
+
+
+def _parse_value(key: str, value: str, kind):
+    """`value` as `kind`: int, float or an enum type."""
     try:
-        return enum_type(value)
+        return kind(value)
     except ValueError:
-        allowed = ", ".join(m.value for m in enum_type)
+        if kind in _TYPE_NAMES:
+            raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}") from None
+        allowed = ", ".join(m.value for m in kind)
         raise ConfigError(f"{key}: {value!r} is not one of {allowed}") from None
 
 
 # --- generator config ---------------------------------------------------
 
+# Flat-key prefix -> (GeneratorConfig field, key types of its nested rows,
+# value type). A key is the prefix followed by one part per key type, e.g.
+# `state.PedestrianOccluded.Stopped`. `seed` and `frames_per_scene.min` /
+# `.max` are the only other keys.
+_GENERATOR_KEYS = {
+    "n_scenes": ("n_scenes", (Environment,), int),
+    "label_prior": ("label_prior", (SceneLabel,), float),
+    "state": ("state_given_label", (SceneLabel, VehicleState), float),
+    "lights": ("lights_given_state", (VehicleState, BrakingLights), float),
+    "distance": ("distance_given_label", (SceneLabel, DistanceBucket), float),
+    "surroundings": ("surroundings_given_label", (SceneLabel, Surroundings), float),
+    "zebra": ("zebra_given_label", (SceneLabel,), float),
+    "occlusion": ("occlusion_given_label", (SceneLabel, OcclusionLevel), float),
+    "vehicle_count": ("vehicle_count_weights", (int,), float),
+    "lanes": ("lane_weights", (int,), float),
+    "position": ("position_weights", (VehiclePosition,), float),
+}
+
 
 def generator_config_from_mapping(raw: Mapping[str, str]) -> GeneratorConfig:
     """Apply flat-file overrides on top of default_config()."""
     cfg = default_config()
-    n_scenes = dict(cfg.n_scenes)
+    tables = {
+        field: copy.deepcopy(getattr(cfg, field)) for field, _, _ in _GENERATOR_KEYS.values()
+    }
     frames = list(cfg.frames_per_scene)
-    label_prior = dict(cfg.label_prior)
-    state = {k: dict(v) for k, v in cfg.state_given_label.items()}
-    lights = {k: dict(v) for k, v in cfg.lights_given_state.items()}
-    distance = {k: dict(v) for k, v in cfg.distance_given_label.items()}
-    surroundings = {k: dict(v) for k, v in cfg.surroundings_given_label.items()}
-    zebra = dict(cfg.zebra_given_label)
-    occlusion = {k: dict(v) for k, v in cfg.occlusion_given_label.items()}
-    vehicle_count = dict(cfg.vehicle_count_weights)
-    lanes = dict(cfg.lane_weights)
-    position = dict(cfg.position_weights)
     seed = cfg.seed
 
     for key, value in raw.items():
-        parts = key.split(".")
-        if parts == ["seed"]:
-            seed = _parse_int(key, value)
-        elif len(parts) == 2 and parts[0] == "n_scenes":
-            n_scenes[_parse_enum(key, parts[1], Environment)] = _parse_int(key, value)
+        prefix, *parts = key.split(".")
+        table_spec = _GENERATOR_KEYS.get(prefix)
+        if key == "seed":
+            seed = _parse_value(key, value, int)
         elif key == "frames_per_scene.min":
-            frames[0] = _parse_int(key, value)
+            frames[0] = _parse_value(key, value, int)
         elif key == "frames_per_scene.max":
-            frames[1] = _parse_int(key, value)
-        elif len(parts) == 2 and parts[0] == "label_prior":
-            label_prior[_parse_enum(key, parts[1], SceneLabel)] = _parse_float(key, value)
-        elif len(parts) == 3 and parts[0] == "state":
-            row = state[_parse_enum(key, parts[1], SceneLabel)]
-            row[_parse_enum(key, parts[2], VehicleState)] = _parse_float(key, value)
-        elif len(parts) == 3 and parts[0] == "lights":
-            row = lights[_parse_enum(key, parts[1], VehicleState)]
-            row[_parse_enum(key, parts[2], BrakingLights)] = _parse_float(key, value)
-        elif len(parts) == 3 and parts[0] == "distance":
-            row = distance[_parse_enum(key, parts[1], SceneLabel)]
-            row[_parse_enum(key, parts[2], DistanceBucket)] = _parse_float(key, value)
-        elif len(parts) == 3 and parts[0] == "surroundings":
-            row = surroundings[_parse_enum(key, parts[1], SceneLabel)]
-            row[_parse_enum(key, parts[2], Surroundings)] = _parse_float(key, value)
-        elif len(parts) == 2 and parts[0] == "zebra":
-            zebra[_parse_enum(key, parts[1], SceneLabel)] = _parse_float(key, value)
-        elif len(parts) == 3 and parts[0] == "occlusion":
-            row = occlusion[_parse_enum(key, parts[1], SceneLabel)]
-            row[_parse_enum(key, parts[2], OcclusionLevel)] = _parse_float(key, value)
-        elif len(parts) == 2 and parts[0] == "vehicle_count":
-            vehicle_count[_parse_int(key, parts[1])] = _parse_float(key, value)
-        elif len(parts) == 2 and parts[0] == "lanes":
-            lanes[_parse_int(key, parts[1])] = _parse_float(key, value)
-        elif len(parts) == 2 and parts[0] == "position":
-            position[_parse_enum(key, parts[1], VehiclePosition)] = _parse_float(key, value)
+            frames[1] = _parse_value(key, value, int)
+        elif table_spec and len(parts) == len(table_spec[1]):
+            field, key_types, value_type = table_spec
+            row = tables[field]
+            for part, kind in zip(parts[:-1], key_types):
+                row = row[_parse_value(key, part, kind)]
+            parsed = _parse_value(key, value, value_type)
+            row[_parse_value(key, parts[-1], key_types[-1])] = parsed
         else:
             raise ConfigError(f"unknown configuration key {key!r}")
 
     try:
-        return GeneratorConfig(
-            n_scenes=n_scenes,
-            frames_per_scene=(frames[0], frames[1]),
-            label_prior=label_prior,
-            state_given_label=state,
-            lights_given_state=lights,
-            distance_given_label=distance,
-            surroundings_given_label=surroundings,
-            zebra_given_label=zebra,
-            occlusion_given_label=occlusion,
-            vehicle_count_weights=vehicle_count,
-            lane_weights=lanes,
-            position_weights=position,
-            seed=seed,
-        )
+        return GeneratorConfig(frames_per_scene=(frames[0], frames[1]), seed=seed, **tables)
     except GeneratorError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def render_generator_config(cfg: GeneratorConfig) -> str:
-    entries: dict[str, object] = {"seed": cfg.seed}
-    for env in sorted(cfg.n_scenes, key=lambda e: e.value):
-        entries[f"n_scenes.{env.value}"] = cfg.n_scenes[env]
-    entries["frames_per_scene.min"] = cfg.frames_per_scene[0]
-    entries["frames_per_scene.max"] = cfg.frames_per_scene[1]
-    for label in SceneLabel:
-        entries[f"label_prior.{label.value}"] = cfg.label_prior[label]
-        entries[f"zebra.{label.value}"] = cfg.zebra_given_label[label]
-        for st, p in cfg.state_given_label[label].items():
-            entries[f"state.{label.value}.{st.value}"] = p
-        for bucket, p in cfg.distance_given_label[label].items():
-            entries[f"distance.{label.value}.{bucket.value}"] = p
-        for s, p in cfg.surroundings_given_label[label].items():
-            entries[f"surroundings.{label.value}.{s.value}"] = p
-        for level, p in cfg.occlusion_given_label[label].items():
-            entries[f"occlusion.{label.value}.{level.value}"] = p
-    for st in VehicleState:
-        for light, p in cfg.lights_given_state[st].items():
-            entries[f"lights.{st.value}.{light.value}"] = p
-    for count, p in cfg.vehicle_count_weights.items():
-        entries[f"vehicle_count.{count}"] = p
-    for lane, p in cfg.lane_weights.items():
-        entries[f"lanes.{lane}"] = p
-    for pos, p in cfg.position_weights.items():
-        entries[f"position.{pos.value}"] = p
+    entries: dict[str, object] = {
+        "seed": cfg.seed,
+        "frames_per_scene.min": cfg.frames_per_scene[0],
+        "frames_per_scene.max": cfg.frames_per_scene[1],
+    }
+    for prefix, (field, key_types, _) in _GENERATOR_KEYS.items():
+        rows = [(prefix, getattr(cfg, field))]
+        for _ in key_types:
+            rows = [
+                (f"{name}.{getattr(k, 'value', k)}", v)
+                for name, row in rows
+                for k, v in row.items()
+            ]
+        entries.update(rows)
     return _render_flat(entries)
 
 
 # --- training config ----------------------------------------------------
 
+# Field name -> value type, the type taken from the field's default.
 _TRAINING_FIELDS = {
-    "k": int,
-    "eta": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "adversarial_temperature": float,
-    "max_epochs": int,
-    "check_every": int,
-    "patience": int,
-    "seed": int,
-    "l2": float,
+    field.name: type(field.default) for field in dataclasses.fields(TrainingConfig)
 }
 
 
@@ -258,15 +209,10 @@ def training_config_from_mapping(
 ) -> TrainingConfig:
     values = {}
     for key, value in raw.items():
-        name = key[len(prefix):] if prefix and key.startswith(prefix) else key
-        if prefix and not key.startswith(prefix):
+        name = key[len(prefix):]
+        if not key.startswith(prefix) or name not in _TRAINING_FIELDS:
             raise ConfigError(f"unknown configuration key {key!r}")
-        if name not in _TRAINING_FIELDS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        caster = _TRAINING_FIELDS[name]
-        values[name] = (
-            _parse_int(key, value) if caster is int else _parse_float(key, value)
-        )
+        values[name] = _parse_value(key, value, _TRAINING_FIELDS[name])
     try:
         return TrainingConfig(**values)
     except ValueError as exc:
@@ -274,14 +220,14 @@ def training_config_from_mapping(
 
 
 def render_training_config(cfg: TrainingConfig, prefix: str = "") -> dict[str, object]:
-    return {f"{prefix}{name}": getattr(cfg, name) for name in _TRAINING_FIELDS}
+    return {f"{prefix}{name}": value for name, value in dataclasses.asdict(cfg).items()}
 
 
 # --- experiment spec ----------------------------------------------------
 
 
 def _parse_env_list(key: str, value: str) -> tuple[Environment, ...]:
-    envs = tuple(_parse_enum(key, part.strip(), Environment) for part in value.split(","))
+    envs = tuple(_parse_value(key, part.strip(), Environment) for part in value.split(","))
     if not envs:
         raise ConfigError(f"{key}: empty environment list")
     return envs
@@ -307,15 +253,15 @@ def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec
         if key in ("train_environments", "test_environments"):
             fields[key] = _parse_env_list(key, value)
         elif len(parts) == 3 and parts[0] == "counts" and parts[2] in ("train", "test"):
-            env = _parse_enum(key, parts[1], Environment)
+            env = _parse_value(key, parts[1], Environment)
             pair = counts.setdefault(env, [0, 0])
-            pair[0 if parts[2] == "train" else 1] = _parse_int(key, value)
+            pair[0 if parts[2] == "train" else 1] = _parse_value(key, value, int)
         elif key in ("horizon", "seed"):
-            fields[key] = _parse_int(key, value)
+            fields[key] = _parse_value(key, value, int)
         elif key == "denominator":
             fields[key] = value
         elif key == "validation_ratio":
-            fields[key] = _parse_float(key, value)
+            fields[key] = _parse_value(key, value, float)
         elif key == "calibrate":
             fields["calibrate_scores"] = _parse_bool(key, value)
         elif key == "cross_environment":
@@ -433,23 +379,17 @@ def cmd_train(args) -> int:
     raw = _read_config_file(args.config)
     validation_ratio = 0.1
     if "validation_ratio" in raw:
-        validation_ratio = _parse_float("validation_ratio", raw.pop("validation_ratio"))
+        validation_ratio = _parse_value(
+            "validation_ratio", raw.pop("validation_ratio"), float
+        )
     if args.validation_ratio is not None:
         validation_ratio = args.validation_ratio
     config = training_config_from_mapping(raw)
     overrides = {
-        "k": args.k,
-        "eta": args.eta,
-        "learning_rate": args.lr,
-        "batch_size": args.batch,
-        "max_epochs": args.max_epochs,
-        "check_every": args.check_every,
-        "patience": args.patience,
-        "adversarial_temperature": args.temperature,
-        "l2": args.l2,
-        "seed": args.seed,
+        name: getattr(args, name)
+        for name in _TRAINING_FIELDS
+        if getattr(args, name) is not None
     }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     try:
         config = dataclasses.replace(config, **overrides)
     except ValueError as exc:
@@ -575,12 +515,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key = value training config")
     p.add_argument("--k", type=int, help="embedding dimension (default 150)")
     p.add_argument("--eta", type=int, help="corruptions per positive (default 15)")
-    p.add_argument("--lr", type=float, help="learning rate (default 0.0005)")
-    p.add_argument("--batch", type=int, help="batch size (default 8000)")
+    # Flags named apart from their TrainingConfig field write to the field.
+    p.add_argument("--lr", type=float, dest="learning_rate", metavar="LR",
+                   help="learning rate (default 0.0005)")
+    p.add_argument("--batch", type=int, dest="batch_size", metavar="BATCH",
+                   help="batch size (default 8000)")
     p.add_argument("--max-epochs", type=int, help="epoch cap (default 500)")
     p.add_argument("--check-every", type=int, help="MRR check interval (default 10)")
     p.add_argument("--patience", type=int, help="checks without improvement (default 5)")
-    p.add_argument("--temperature", type=float, help="adversarial temperature (default 1)")
+    p.add_argument("--temperature", type=float, dest="adversarial_temperature",
+                   metavar="TEMPERATURE", help="adversarial temperature (default 1)")
     p.add_argument("--l2", type=float, help="L2 coefficient (default 0)")
     p.add_argument("--seed", type=int, help="training seed (default 0)")
     p.add_argument(

@@ -92,6 +92,40 @@ def _env_set_label(envs: Sequence[Environment]) -> str:
     return "Mixed" if len(unique) > 1 else unique[0]
 
 
+def headline_spec(
+    train_environments: tuple[Environment, ...] = (Environment.VIRTUAL,),
+    *,
+    horizon: int = 30,
+    k: int = 32,
+    epochs: int = 200,
+    fold_seed: int = 13,
+    train_seed: int = 0,
+) -> ExperimentSpec:
+    """The headline experiment, scored on held-out Virtual scenes.
+
+    Trains on ``train_environments`` (Virtual->Virtual by default). There
+    is no validation fold, so training runs all ``epochs``.
+    """
+    return ExperimentSpec(
+        train_environments=train_environments,
+        test_environments=(Environment.VIRTUAL,),
+        counts={Environment.REAL: (32, 8), Environment.VIRTUAL: (50, 9)},
+        horizon=horizon,
+        training=TrainingConfig(
+            k=k,
+            eta=15,
+            learning_rate=0.05,
+            batch_size=2048,
+            max_epochs=epochs,
+            check_every=1000,
+            patience=5,
+            seed=train_seed,
+        ),
+        seed=fold_seed,
+        validation_ratio=0.0,
+    )
+
+
 @dataclass(frozen=True)
 class ConfusionMatrix:
     tp: int = 0

@@ -212,9 +212,6 @@ ONTOLOGY = OntologySchema(
     }
 )
 
-RELATION_NAMES = tuple(sorted(ONTOLOGY.relations))
-
-
 def lane_entity(lanes: int) -> str:
     return f"LaneCount_{min(max(lanes, 1), MAX_LANE_ENTITY)}"
 

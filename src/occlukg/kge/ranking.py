@@ -15,7 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from ..kg import Triple
-from .model import ComplexModel
+from .model import ComplexModel, score_gradient
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,15 @@ def evaluate_ranking(
     ranks: list[tuple[int, int]] = []
     for t in test_triples:
         s = entity_index[t.subject]
-        r = model.relation_index[t.relation]
         o = entity_index[t.object]
-        s_re, s_im = model.ent_re[s], model.ent_im[s]
-        r_re, r_im = model.rel_re[r], model.rel_im[r]
-        o_re, o_im = model.ent_re[o], model.ent_im[o]
+        partials = score_gradient(model, *t)
 
-        # object direction: score is linear in the candidate embedding
-        a_re = s_re * r_re - s_im * r_im
-        a_im = s_im * r_re + s_re * r_im
-        obj_scores = model.ent_re @ a_re + model.ent_im @ a_im
+        # The score is linear in each entity embedding, so the partials with
+        # respect to the object (subject) score every candidate object (subject).
+        obj_scores = model.ent_re @ partials["o_re"] + model.ent_im @ partials["o_im"]
         obj_rank = _pessimistic_rank(obj_scores, o, known_objects[(t.subject, t.relation)])
 
-        # subject direction
-        b_re = r_re * o_re + r_im * o_im
-        b_im = r_re * o_im - r_im * o_re
-        subj_scores = model.ent_re @ b_re + model.ent_im @ b_im
+        subj_scores = model.ent_re @ partials["s_re"] + model.ent_im @ partials["s_im"]
         subj_rank = _pessimistic_rank(subj_scores, s, known_subjects[(t.object, t.relation)])
 
         ranks.append((subj_rank, obj_rank))

@@ -204,9 +204,7 @@ def uninformative_config(base: Optional[GeneratorConfig] = None) -> GeneratorCon
     cfg = base if base is not None else default_config()
 
     def mix(table):
-        keys = set()
-        for row in table.values():
-            keys |= set(row)
+        keys = _category_order({key for row in table.values() for key in row})
         mixed = {
             key: sum(cfg.label_prior[label] * table[label].get(key, 0.0) for label in SceneLabel)
             for key in keys
@@ -225,9 +223,14 @@ def uninformative_config(base: Optional[GeneratorConfig] = None) -> GeneratorCon
     )
 
 
+def _category_order(keys) -> list:
+    """Categories in a fixed order, by their text, independent of hashing."""
+    return sorted(keys, key=lambda k: str(getattr(k, "value", k)))
+
+
 def _draw(rng: np.random.Generator, row: Mapping):
     """Weighted draw with a fixed category order for determinism."""
-    keys = sorted(row, key=lambda k: str(getattr(k, "value", k)))
+    keys = _category_order(row)
     probs = np.array([row[k] for k in keys], dtype=np.float64)
     probs = probs / probs.sum()
     return keys[int(rng.choice(len(keys), p=probs))]

@@ -20,7 +20,7 @@ import pytest
 from conftest import model_with_scores
 from occlukg.bayes import EvidenceItem, EvidenceSource, Hypothesis, posterior
 from occlukg.cli import EXIT_OK, main
-from occlukg.harness import ConfusionMatrix, ExperimentSpec, compute_metrics, run_experiment
+from occlukg.harness import ConfusionMatrix, compute_metrics, headline_spec, run_experiment
 from occlukg.kg import PROTO_OCCLUDED, ROAD_SCENE, KnowledgeGraph, Triple, TripleSplit
 from occlukg.kge.model import (
     init_embeddings,
@@ -338,37 +338,12 @@ class TestPosteriorIdentities:
 
 # --- Planted-corpus benchmark -------------------------------------------
 
-_BENCHMARK_COUNTS = {Environment.REAL: (32, 8), Environment.VIRTUAL: (50, 9)}
-_BENCHMARK_TRAINING = TrainingConfig(
-    k=32,
-    eta=15,
-    learning_rate=0.05,
-    batch_size=2048,
-    max_epochs=200,
-    check_every=1000,
-    patience=5,
-    seed=0,
-)
-_BENCHMARK_SEED = 13  # drives fold assignment and calibration sampling
-
-
-def _benchmark_spec(train_envs) -> ExperimentSpec:
-    return ExperimentSpec(
-        train_environments=train_envs,
-        test_environments=(Environment.VIRTUAL,),
-        counts=_BENCHMARK_COUNTS,
-        horizon=30,
-        training=_BENCHMARK_TRAINING,
-        seed=_BENCHMARK_SEED,
-        validation_ratio=0.0,
-    )
-
 
 @pytest.fixture(scope="module")
 def benchmark_outcome():
     corpus = generate_corpus(default_config(), seed=0)
     start = time.monotonic()
-    report = run_experiment(corpus, _benchmark_spec((Environment.VIRTUAL,)))
+    report = run_experiment(corpus, headline_spec())
     return report, time.monotonic() - start
 
 
@@ -401,8 +376,8 @@ class TestOccludedPedestrianBenchmark:
 def contrast_outcome():
     corpus = asymmetric_corpus(seed=0)
     start = time.monotonic()
-    informative = run_experiment(corpus, _benchmark_spec((Environment.VIRTUAL,)))
-    uninformative = run_experiment(corpus, _benchmark_spec((Environment.REAL,)))
+    informative = run_experiment(corpus, headline_spec())
+    uninformative = run_experiment(corpus, headline_spec((Environment.REAL,)))
     return informative, uninformative, time.monotonic() - start
 
 

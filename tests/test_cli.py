@@ -387,6 +387,29 @@ class TestTrain:
         assert code == EXIT_OK
         assert "k = 4" in Path(str(out) + ".effective-config.txt").read_text()
 
+    def test_every_flag_reaches_its_field(self, kg_path, tmp_path):
+        flags = {
+            "--k": ("k", "6"),
+            "--eta": ("eta", "3"),
+            "--lr": ("learning_rate", "0.02"),
+            "--batch": ("batch_size", "128"),
+            "--max-epochs": ("max_epochs", "4"),
+            "--check-every": ("check_every", "2"),
+            "--patience": ("patience", "3"),
+            "--temperature": ("adversarial_temperature", "0.7"),
+            "--l2": ("l2", "0.001"),
+            "--seed": ("seed", "5"),
+        }
+        defaults = TrainingConfig()
+        assert {name for name, _ in flags.values()} == set(vars(defaults))
+        for name, value in flags.values():
+            assert str(getattr(defaults, name)) != value
+        out = tmp_path / "model.npz"
+        argv = [part for flag, (_, value) in flags.items() for part in (flag, value)]
+        assert main(["train", "--kg", str(kg_path), "--out", str(out), *argv]) == EXIT_OK
+        echoed = parse_flat_config(Path(str(out) + ".effective-config.txt").read_text())
+        assert echoed == {"validation_ratio": "0.1", **dict(flags.values())}
+
     def test_invalid_flag_value(self, kg_path, tmp_path, capsys):
         code = main([
             "train", "--kg", str(kg_path), "--out", str(tmp_path / "m.npz"),

@@ -1,6 +1,10 @@
 """CPT-driven corpus generator: validation, determinism, planted structure."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -229,6 +233,27 @@ class TestUninformativeConfig:
         for label in SceneLabel:
             assert sum(cfg.state_given_label[label].values()) == pytest.approx(1.0)
             assert sum(cfg.surroundings_given_label[label].values()) == pytest.approx(1.0)
+
+    def test_tables_do_not_depend_on_the_hash_seed(self):
+        # The mixed rows must not follow set iteration order, which
+        # PYTHONHASHSEED decides; hash seeds 0 and 8 once gave different bits.
+        script = (
+            "from occlukg.cli import render_generator_config\n"
+            "from occlukg.synth import uninformative_config\n"
+            "print(render_generator_config(uninformative_config()), end='')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        rendered = []
+        for hash_seed in ("0", "8"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, timeout=60, env=env, check=True,
+            )
+            rendered.append(proc.stdout)
+        assert rendered[0] == rendered[1]
+        assert "state.NonePedestrian.Stopped" in rendered[0]
 
     def test_occlusion_rows_kept(self):
         base = default_config()
