@@ -19,25 +19,17 @@ from occlukg.synth import default_config, generate_corpus
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus-seed", type=int, default=0)
-    parser.add_argument("--fold-seed", type=int, default=13)
-    parser.add_argument("--train-seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--horizon", type=int, default=30)
+    for name, default in headline_spec.__kwdefaults__.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     parser.add_argument("--out", type=Path, default=None, help="directory for JSON artifacts")
     args = parser.parse_args()
+    settings = {name: getattr(args, name) for name in headline_spec.__kwdefaults__}
 
     start = time.monotonic()
     corpus = generate_corpus(default_config(), seed=args.corpus_seed)
     print(f"corpus: {len(corpus)} scenes, {sum(len(d.frames) for d in corpus)} frames")
 
-    spec = headline_spec(
-        horizon=args.horizon,
-        k=args.k,
-        epochs=args.epochs,
-        fold_seed=args.fold_seed,
-        train_seed=args.train_seed,
-    )
+    spec = headline_spec(**settings)
     report, predictions = run_experiment_with_predictions(corpus, spec)
     duration = time.monotonic() - start
 

@@ -18,26 +18,17 @@ from occlukg.synth import asymmetric_corpus
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus-seed", type=int, default=0)
-    parser.add_argument("--fold-seed", type=int, default=13)
-    parser.add_argument("--train-seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--horizon", type=int, default=30)
+    for name, default in headline_spec.__kwdefaults__.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     args = parser.parse_args()
+    settings = {name: getattr(args, name) for name in headline_spec.__kwdefaults__}
 
     start = time.monotonic()
     corpus = asymmetric_corpus(seed=args.corpus_seed)
 
     results = {}
     for env in (Environment.VIRTUAL, Environment.REAL):
-        spec = headline_spec(
-            (env,),
-            horizon=args.horizon,
-            k=args.k,
-            epochs=args.epochs,
-            fold_seed=args.fold_seed,
-            train_seed=args.train_seed,
-        )
+        spec = headline_spec((env,), **settings)
         report = run_experiment(corpus, spec)
         results[env] = report
         print(f"{report.spec_echo['label']:<16} "

@@ -17,23 +17,15 @@ from occlukg.synth import default_config, generate_corpus
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--corpus-seed", type=int, default=0)
-    parser.add_argument("--fold-seed", type=int, default=13)
-    parser.add_argument("--train-seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=32)
-    parser.add_argument("--epochs", type=int, default=200)
-    parser.add_argument("--horizon", type=int, default=30)
+    for name, default in headline_spec.__kwdefaults__.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default)
     parser.add_argument("--out", type=Path, default=None, help="file for the JSONL records")
     args = parser.parse_args()
+    settings = {name: getattr(args, name) for name in headline_spec.__kwdefaults__}
 
     start = time.monotonic()
     corpus = generate_corpus(default_config(), seed=args.corpus_seed)
-    base = headline_spec(
-        horizon=args.horizon,
-        k=args.k,
-        epochs=args.epochs,
-        fold_seed=args.fold_seed,
-        train_seed=args.train_seed,
-    )
+    base = headline_spec(**settings)
 
     reports = run_cross_environment(corpus, base)
     text, jsonl = render_report(reports)

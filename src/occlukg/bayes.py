@@ -9,25 +9,33 @@ against the hypothesis' class prototype. The factorization is a
 modelling convenience, not a coherent joint distribution, so the raw
 posterior can exceed 1 and is clamped (and flagged) for decisions.
 
-``posterior`` is the one place that scores a hypothesis. One whose
-prototype the model lacks scores 0 and cannot win, and the mixture
-denominator sums only over the hypotheses whose prototype is present.
+``posterior`` (through ``_score``) is the one place that turns factors
+into a prior, denominator, raw and clamped value, in both denominator
+modes. A hypothesis whose prototype the model lacks scores 0 and cannot
+win, and the mixture denominator sums only over the hypotheses whose
+prototype is present.
 
 Prediction reads the same few dozen triples on every frame, so each
 triple's probability is computed once per (model, calibration), checked
 against the ontology on that first computation (a bad pair raises
 ValueError from ``posterior``), and then read back from the model's
-memo; assigning a new ``model.calibration`` starts the memo afresh.
-After the first prediction the model's four embedding tables are
-read-only, so an in-place write raises instead of leaving stale
-probabilities behind; ``model.copy()`` gives writable tables and an
-empty memo.
+memo. On top of it sits one memo row per (relation, object, source)
+evidence pair: its ``EvidenceItem``, whether the object is in the
+model vocabulary (usable) or dropped, and its ``EvidenceFactor`` under
+each hypothesis whose prototype is present. ``predict_frame`` assembles
+a frame from those rows, decides the label from the three clamped
+values, and then builds each report once. A row is stored only when
+complete, so a failure is never cached. Assigning a new
+``model.calibration`` starts both memos afresh. After the first
+prediction the model's four embedding tables are read-only, so an
+in-place write raises instead of leaving stale probabilities behind;
+``model.copy()`` gives writable tables and empty memos.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -83,6 +91,12 @@ def _product(values) -> float:
     return math.prod(values, start=1.0)
 
 
+# What ``posterior`` and ``predict_frame`` read of HYPOTHESES on every
+# frame, as plain strings: no property or enum descriptor per read.
+_PROTOTYPES = tuple(h.prototype for h in HYPOTHESES)
+_LABEL_VALUES = tuple(h.label.value for h in HYPOTHESES)
+
+
 @dataclass(frozen=True)
 class PosteriorReport:
     hypothesis: Hypothesis
@@ -100,8 +114,10 @@ class PosteriorReport:
         return self.prior * _product(f.conditional for f in self.factors) / self.denominator
 
     def to_record(self) -> dict:
+        # ``_value_`` is the enum member's plain value attribute; reading
+        # it skips the ``.value`` property, which is a Python-level call.
         return {
-            "label": self.hypothesis.label.value,
+            "label": self.hypothesis.label._value_,
             "prior": self.prior,
             "denominator": self.denominator,
             "denominator_mode": self.denominator_mode,
@@ -112,7 +128,7 @@ class PosteriorReport:
                 {
                     "relation": f.item.relation,
                     "object": f.item.object,
-                    "source": f.item.source.value,
+                    "source": f.item.source._value_,
                     "marginal": f.marginal,
                     "conditional": f.conditional,
                     "ratio": f.ratio,
@@ -122,16 +138,19 @@ class PosteriorReport:
         }
 
 
-def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceItem]:
-    """Evidence items for one frame: context first, then vehicles by id."""
+def _frame(doc: RoadSceneDocument, frame_index: int):
     if not 0 <= frame_index < len(doc.frames):
         raise IndexError(
             f"frame_index {frame_index} out of range for {len(doc.frames)} frames"
         )
-    frame = doc.frames[frame_index]
+    return doc.frames[frame_index]
+
+
+def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceItem]:
+    """Evidence items for one frame: context first, then vehicles by id."""
     return [
         EvidenceItem(relation=rel, object=obj, source=EvidenceSource(src))
-        for rel, obj, src in frame_evidence_pairs(doc, frame)
+        for rel, obj, src in frame_evidence_pairs(doc, _frame(doc, frame_index))
     ]
 
 
@@ -163,6 +182,62 @@ def evidence_conditional(model: ComplexModel, e: EvidenceItem, h: Hypothesis) ->
     return _probability(model, h.prototype, e.relation, e.object)
 
 
+class _Row:
+    """The memo row of one (relation, object, source) evidence pair.
+
+    ``factors`` holds the pair's factor under each of HYPOTHESES, None
+    where the model lacks that prototype; a row whose object the model
+    lacks is not usable and has no factors. Rows live in
+    ``model.evidence_memo()``, stored by ``memo.setdefault`` only once
+    built, so a pair that fails the ontology check raises on every use.
+    """
+
+    __slots__ = ("item", "usable", "factors")
+
+    def __init__(self, model: ComplexModel, relation: str, object: str, source: str):
+        self.item = EvidenceItem(relation, object, EvidenceSource(source))
+        self.usable = object in model.entity_index
+        self.factors = None
+        if self.usable:
+            marg = evidence_marginal(model, self.item)
+            factors = []
+            for h in HYPOTHESES:
+                if h.prototype in model.entity_index:
+                    cond = evidence_conditional(model, self.item, h)
+                    factors.append(EvidenceFactor(self.item, marg, cond, cond / marg))
+                else:
+                    factors.append(None)
+            self.factors = tuple(factors)
+
+
+# (prior, factors, denominator, raw, clamped, clamp_flagged) of a
+# hypothesis whose prototype the model lacks.
+_ZERO_SCORE = (0.0, (), 1.0, 0.0, 0.0, False)
+
+
+def _score(model: ComplexModel, i: int, rows: Sequence[_Row], denominator: str) -> tuple:
+    """PosteriorReport's (prior, factors, denominator, raw, clamped, clamp_flagged)
+    for HYPOTHESES[i] over usable rows; see ``posterior``."""
+    index = model.entity_index
+    if _PROTOTYPES[i] not in index:
+        return _ZERO_SCORE
+    factors = tuple([row.factors[i] for row in rows])
+    num = _product([f.conditional for f in factors])
+    if denominator == "marginal":
+        den = _product([f.marginal for f in factors])
+    else:
+        den = 0.0
+        for j, proto in enumerate(_PROTOTYPES):
+            if proto in index:
+                den += _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[j]) * _product(
+                    [row.factors[j].conditional for row in rows]
+                )
+    p_h = _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[i])
+    raw = p_h * num / den
+    clamped = min(max(raw, 0.0), 1.0)
+    return p_h, factors, den, raw, clamped, clamped != raw
+
+
 def posterior(
     model: ComplexModel,
     h: Hypothesis,
@@ -178,41 +253,21 @@ def posterior(
     proper distribution. Raw values above 1 (possible in marginal mode:
     the factors are calibrated scores, not a joint law) are clamped and
     flagged. If the model lacks h's prototype the report is all zero:
-    prior 0, no factors, denominator 1.
+    prior 0, no factors, denominator 1. Every evidence object must be
+    in the model vocabulary (``predict_frame`` drops those that are not).
     """
     if denominator not in DENOMINATOR_MODES:
         raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
-    if h.prototype not in model.entity_index:
-        return PosteriorReport(hypothesis=h, prior=0.0, factors=(), denominator=1.0, raw=0.0,
-                               clamped=0.0, clamp_flagged=False, denominator_mode=denominator)
-    factors = []
+    memo = model.evidence_memo()
+    rows = []
     for e in evidence:
-        marg = evidence_marginal(model, e)
-        cond = evidence_conditional(model, e, h)
-        factors.append(EvidenceFactor(item=e, marginal=marg, conditional=cond, ratio=cond / marg))
-    num = _product(f.conditional for f in factors)
-    if denominator == "marginal":
-        den = _product(f.marginal for f in factors)
-    else:
-        den = 0.0
-        for other in HYPOTHESES:
-            if other.prototype in model.entity_index:
-                den += prior(model, other) * _product(
-                    evidence_conditional(model, e, other) for e in evidence
-                )
-    p_h = prior(model, h)
-    raw = p_h * num / den
-    clamped = min(max(raw, 0.0), 1.0)
-    return PosteriorReport(
-        hypothesis=h,
-        prior=p_h,
-        factors=tuple(factors),
-        denominator=den,
-        raw=raw,
-        clamped=clamped,
-        clamp_flagged=clamped != raw,
-        denominator_mode=denominator,
-    )
+        pair = (e.relation, e.object, e.source.value)
+        row = memo.get(pair) or memo.setdefault(pair, _Row(model, *pair))
+        if not row.usable:
+            raise KeyError(e.object)
+        rows.append(row)
+    return PosteriorReport(h, *_score(model, HYPOTHESES.index(h), rows, denominator),
+                           denominator)
 
 
 @dataclass(frozen=True)
@@ -235,8 +290,8 @@ class FramePrediction:
             "frame": self.frame_number,
             "horizon": self.horizon,
             "truncated": self.truncated,
-            "predicted": self.predicted.value,
-            "ground_truth": self.ground_truth.value,
+            "predicted": self.predicted._value_,
+            "ground_truth": self.ground_truth._value_,
             "dropped_evidence": [
                 {"relation": e.relation, "object": e.object} for e in self.dropped_evidence
             ],
@@ -262,12 +317,20 @@ def predict_frame(
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    usable: list[EvidenceItem] = []
+    if denominator not in DENOMINATOR_MODES:
+        raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
+    memo = model.evidence_memo()
+    usable: list[_Row] = []
     dropped: list[EvidenceItem] = []
-    for e in extract_evidence(doc, t):
-        (usable if e.object in model.entity_index else dropped).append(e)
-    reports = [posterior(model, h, usable, denominator=denominator) for h in HYPOTHESES]
-    predicted = max(reports, key=lambda r: r.clamped).hypothesis.label  # first maximum
+    for pair in frame_evidence_pairs(doc, _frame(doc, t)):
+        row = memo.get(pair) or memo.setdefault(pair, _Row(model, *pair))
+        if row.usable:
+            usable.append(row)
+        else:
+            dropped.append(row.item)
+    scores = [_score(model, i, usable, denominator) for i in range(len(HYPOTHESES))]
+    best = max(range(len(scores)), key=lambda i: scores[i][4])  # first maximum
+    predicted = HYPOTHESES[best].label
     last = len(doc.frames) - 1
     return FramePrediction(
         scene_id=doc.scene_id,
@@ -277,7 +340,8 @@ def predict_frame(
         truncated=t + horizon > last,
         predicted=predicted,
         ground_truth=doc.frames[min(t + horizon, last)].pedestrians_scene,
-        reports=tuple(replace(r, predicted_label=predicted) for r in reports),
-        evidence=tuple(usable),
+        reports=tuple(PosteriorReport(h, *score, denominator, predicted)
+                      for h, score in zip(HYPOTHESES, scores)),
+        evidence=tuple(row.item for row in usable),
         dropped_evidence=tuple(dropped),
     )

@@ -95,16 +95,18 @@ def _env_set_label(envs: Sequence[Environment]) -> str:
 def headline_spec(
     train_environments: tuple[Environment, ...] = (Environment.VIRTUAL,),
     *,
-    horizon: int = 30,
-    k: int = 32,
-    epochs: int = 200,
     fold_seed: int = 13,
     train_seed: int = 0,
+    k: int = 32,
+    epochs: int = 200,
+    horizon: int = DEFAULT_HORIZON,
 ) -> ExperimentSpec:
     """The headline experiment, scored on held-out Virtual scenes.
 
     Trains on ``train_environments`` (Virtual->Virtual by default). There
-    is no validation fold, so training runs all ``epochs``.
+    is no validation fold, so training runs all ``epochs``. The scripts
+    in ``scripts/`` turn each keyword setting into an integer option of
+    the same name, in this order and with this default.
     """
     return ExperimentSpec(
         train_environments=train_environments,

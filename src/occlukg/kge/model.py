@@ -62,7 +62,7 @@ class ComplexModel:
         self.calibration = (float(self.calibration[0]), float(self.calibration[1]))
         self.entity_index = {e: i for i, e in enumerate(self.entities)}
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
-        self._memo: dict = {}
+        self._memos: tuple[dict, dict] = ({}, {})
         self._memo_calibration = None
 
     @property
@@ -80,12 +80,19 @@ class ComplexModel:
         after it raises ValueError instead of leaving stale
         probabilities behind.
         """
+        return self._current_memos()[0]
+
+    def evidence_memo(self) -> dict:
+        """occlukg.bayes' rows by evidence pair, built from probability_memo and reset with it."""
+        return self._current_memos()[1]
+
+    def _current_memos(self) -> tuple[dict, dict]:
         if self._memo_calibration != self.calibration:
             for name in TABLES:
                 getattr(self, name).flags.writeable = False
-            self._memo = {}
+            self._memos = ({}, {})
             self._memo_calibration = self.calibration
-        return self._memo
+        return self._memos
 
     def copy(self) -> "ComplexModel":
         return ComplexModel(

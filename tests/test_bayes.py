@@ -1,5 +1,6 @@
 """Posterior inference: evidence extraction, Bayes combination, decisions."""
 
+import json
 import math
 
 import pytest
@@ -20,7 +21,15 @@ from occlukg.bayes import (
     predict_frame,
     prior,
 )
-from occlukg.kg import PROTO_NO_PED, PROTO_OCCLUDED, PROTO_VISIBLE, ROAD_SCENE, build_linked_kg
+from occlukg.kg import (
+    PROTO_NO_PED,
+    PROTO_OCCLUDED,
+    PROTO_VISIBLE,
+    PROTOTYPE_FOR_LABEL,
+    ROAD_SCENE,
+    build_linked_kg,
+    frame_evidence_pairs,
+)
 from occlukg.kge.calibrate import triple_probability
 from occlukg.kge.model import TABLES, init_embeddings
 from occlukg.scenes import FrameAnnotation, RoadSceneDocument, SceneLabel, Surroundings
@@ -557,3 +566,143 @@ class TestProbabilityMemo:
         queried = {key for key, _ in recorded_probabilities(preds)}
         assert len(calls) == len(queried)
         assert set(calls) == queried
+
+
+def left_to_right_product(values):
+    out = 1.0
+    for v in values:
+        out = out * v
+    return out
+
+
+def oracle_record(model, doc, t, horizon, denominator):
+    """predict_frame's record rebuilt from the evidence pairs and triple_probability alone."""
+    frame = doc.frames[t]
+    pairs = frame_evidence_pairs(doc, frame)
+    usable = [(r, o, s) for r, o, s in pairs if o in model.entity_index]
+    present = [h for h in HYPOTHESES if PROTOTYPE_FOR_LABEL[h.label] in model.entity_index]
+
+    def prob(s, r, o):
+        return triple_probability(model, s, r, o)
+
+    def conditionals(h):
+        return [prob(PROTOTYPE_FOR_LABEL[h.label], r, o) for r, o, _ in usable]
+
+    def prior_of(h):
+        return prob(ROAD_SCENE, "contains", h.label.value)
+
+    mixture = 0.0
+    for h in present:
+        mixture += prior_of(h) * left_to_right_product(conditionals(h))
+    hypotheses = []
+    for h in HYPOTHESES:
+        if h not in present:
+            hypotheses.append({"label": h.label.value, "prior": 0.0, "denominator": 1.0,
+                               "denominator_mode": denominator, "raw": 0.0, "clamped": 0.0,
+                               "clamp_flagged": False, "factors": []})
+            continue
+        margs = [prob(ROAD_SCENE, r, o) for r, o, _ in usable]
+        conds = conditionals(h)
+        den = left_to_right_product(margs) if denominator == "marginal" else mixture
+        raw = prior_of(h) * left_to_right_product(conds) / den
+        clamped = min(max(raw, 0.0), 1.0)
+        hypotheses.append({
+            "label": h.label.value, "prior": prior_of(h), "denominator": den,
+            "denominator_mode": denominator, "raw": raw, "clamped": clamped,
+            "clamp_flagged": clamped != raw,
+            "factors": [
+                {"relation": r, "object": o, "source": s, "marginal": m, "conditional": c,
+                 "ratio": c / m}
+                for (r, o, s), m, c in zip(usable, margs, conds)
+            ],
+        })
+    best = max(rec["clamped"] for rec in hypotheses)
+    last = len(doc.frames) - 1
+    return {
+        "scene": doc.scene_id,
+        "frame_index": t,
+        "frame": frame.frame_number,
+        "horizon": horizon,
+        "truncated": t + horizon > last,
+        "predicted": next(rec["label"] for rec in hypotheses if rec["clamped"] == best),
+        "ground_truth": doc.frames[min(t + horizon, last)].pedestrians_scene.value,
+        "dropped_evidence": [{"relation": r, "object": o}
+                             for r, o, _ in pairs if o not in model.entity_index],
+        "hypotheses": hypotheses,
+    }
+
+
+class TestRecordOracle:
+    """The JSONL bytes of every prediction, pinned against an independent rebuild."""
+
+    @pytest.mark.parametrize("denominator", DENOMINATOR_MODES)
+    @pytest.mark.parametrize("graph", ["full", "occluded-only"])
+    def test_record_bytes_equal_the_oracle(self, tiny_corpus, denominator, graph):
+        # the occluded-only graph lacks two prototypes and several value
+        # entities, so zero reports and dropped evidence are covered too
+        model = graph_model(tiny_corpus if graph == "full" else tiny_corpus[1:2])
+        dropped = zero_reports = 0
+        for attempt in range(2):  # a cold memo, then a warm one
+            for doc in tiny_corpus:
+                for t in range(len(doc.frames)):
+                    got = predict_frame(model, doc, t, horizon=1, denominator=denominator)
+                    want = oracle_record(model, doc, t, 1, denominator)
+                    assert json.dumps(got.to_record(), sort_keys=True) == json.dumps(
+                        want, sort_keys=True
+                    )
+                    dropped += len(want["dropped_evidence"])
+                    zero_reports += sum(not rec["factors"] for rec in want["hypotheses"])
+        assert (dropped > 0 and zero_reports > 0) == (graph == "occluded-only")
+
+
+class TestWarmMemo:
+    """Each edge case holds on the first prediction and on every later one."""
+
+    def test_unknown_object_dropped_on_every_prediction(self):
+        doc = single_frame_doc(surroundings=Surroundings.CLEAR)
+        model = TestPredictFrame.steering_model(PROTO_NO_PED, [("hasLanes", "LaneCount_2")])
+        records = []
+        for attempt in range(2):
+            pred = predict_frame(model, doc, 0)
+            assert [e.object for e in pred.dropped_evidence] == ["Clear"]
+            assert [e.object for e in pred.evidence] == ["LaneCount_2"]
+            records.append(pred.to_record())
+        assert records[0] == records[1]
+
+    def test_ontology_violation_raises_on_every_call(self):
+        good = item(relation="thereIs", object="ZebraCrossing")
+        bad = item(relation="thereIs", object="Vegetation")
+        model = probability_model({
+            (ROAD_SCENE, "thereIs", "ZebraCrossing"): 0.4,
+            (PROTO_OCCLUDED, "thereIs", "ZebraCrossing"): 0.6,
+            (ROAD_SCENE, "thereIs", "Vegetation"): 0.4,
+            (PROTO_OCCLUDED, "thereIs", "Vegetation"): 0.6,
+        })
+        h = occluded_hypothesis()
+        for attempt in range(2):
+            with pytest.raises(ValueError, match="ontology"):
+                posterior(model, h, [bad])
+            with pytest.raises(ValueError, match="ontology"):
+                posterior(model, h, [good, bad])
+            assert posterior(model, h, [good]).raw == pytest.approx(0.3 * 0.6 / 0.4, abs=1e-12)
+
+    def test_missing_prototype_stays_zero_on_every_prediction(self, visible_ped_doc):
+        items = [(e.relation, e.object) for e in extract_evidence(visible_ped_doc, 0)]
+        entries = {(ROAD_SCENE, "contains", SceneLabel.PEDESTRIAN_NOT_OCCLUDED.value): 0.45,
+                   (ROAD_SCENE, "contains", SceneLabel.NONE_PEDESTRIAN.value): 0.35}
+        for rel, obj in items:
+            entries[(ROAD_SCENE, rel, obj)] = 0.4
+            entries[(PROTO_VISIBLE, rel, obj)] = 0.7
+            entries[(PROTO_NO_PED, rel, obj)] = 0.2
+        model = model_with_scores({key: logit(p) for key, p in entries.items()})
+        records = []
+        for attempt in range(2):
+            for denominator in DENOMINATOR_MODES:
+                pred = predict_frame(model, visible_ped_doc, 0, denominator=denominator)
+                missing, *present = pred.reports
+                assert missing.prior == 0.0 and missing.raw == 0.0 and missing.factors == ()
+                assert missing.denominator == 1.0
+                if denominator == "mixture":
+                    assert abs(sum(r.raw for r in present) - 1.0) < 1e-12
+                records.append(pred.to_record())
+        assert records[:2] == records[2:]

@@ -309,6 +309,13 @@ class TestTsv:
         with pytest.raises(KgBuildError, match="line 2"):
             import_kg_tsv(b"a\tthereIs\tb\noops\n")
 
+    def test_blank_lines_are_skipped_and_counted(self):
+        kg = import_kg_tsv(b"\na\tthereIs\tb\r\n\n")
+        assert kg.triples == {Triple("a", "thereIs", "b")}
+        assert all(type(t) is Triple for t in kg.triples)
+        with pytest.raises(KgBuildError, match="line 4: expected 3"):
+            import_kg_tsv(b"\na\tthereIs\tb\n\na\tthereIs\tb\tc\n")
+
 
 class TestStats:
     def test_counts_on_handmade_scene(self, occluded_crossing_doc):
