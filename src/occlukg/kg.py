@@ -314,19 +314,21 @@ def frame_evidence_pairs(
     these pairs re-subjected onto a prototype. Deduplicated; context
     first, then vehicles in id order.
     """
+    # ``_value_`` is the enum member's plain value attribute; reading it
+    # skips the ``.value`` property, which is a Python-level call.
     ctx = doc.context
     out: list[tuple[str, str, str]] = []
     if ctx.zebra_crossing:
         out.append(("thereIs", ZEBRA_ENTITY, "Context"))
-    out.append(("hasSurroundings", ctx.surroundings.value, "Context"))
+    out.append(("hasSurroundings", ctx.surroundings._value_, "Context"))
     out.append(("hasLanes", lane_entity(ctx.lanes), "Context"))
     seen = {(rel, obj) for rel, obj, _ in out}
     for v in sorted(frame.vehicles, key=lambda v: v.vehicle_id):
         for rel, obj in (
             ("includes", VEHICLE_STATE_ENTITY[v.state]),
-            ("hasBrakingLights", v.braking_lights.value),
-            ("hasDistance", v.distance.value),
-            ("hasPosition", v.position.value),
+            ("hasBrakingLights", v.braking_lights._value_),
+            ("hasDistance", v.distance._value_),
+            ("hasPosition", v.position._value_),
         ):
             if (rel, obj) not in seen:
                 seen.add((rel, obj))

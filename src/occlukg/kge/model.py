@@ -202,14 +202,53 @@ def _score_partials(
     o_re: np.ndarray, o_im: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """score_gradient's six partials for gathered rows (any leading shape)."""
-    return {
-        "s_re": r_re * o_re + r_im * o_im,
-        "s_im": r_re * o_im - r_im * o_re,
-        "r_re": s_re * o_re + s_im * o_im,
-        "r_im": s_re * o_im - s_im * o_re,
-        "o_re": s_re * r_re - s_im * r_im,
-        "o_im": s_im * r_re + s_re * r_im,
-    }
+    p = {}
+    p["s_re"], p["s_im"] = _subject_partials(r_re, r_im, o_re, o_im)
+    p["r_re"], p["r_im"] = _relation_partials(s_re, s_im, o_re, o_im)
+    p["o_re"], p["o_im"] = _object_partials(s_re, s_im, r_re, r_im)
+    return p
+
+
+# The per-side partials, each as (re, im). ``out``, when given, is a pair
+# of arrays (views allowed) that receive the two halves, so a caller can
+# write partials straight into a larger block. Each half is computed as
+# op(a * b, c * d), the same operations in the same order either way.
+
+
+def _subject_partials(
+    r_re: np.ndarray, r_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray, out=(None, None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_s(r, o): the partials of the score w.r.t. s_re and s_im."""
+    return (
+        _products(r_re, o_re, np.add, r_im, o_im, out[0]),
+        _products(r_re, o_im, np.subtract, r_im, o_re, out[1]),
+    )
+
+
+def _relation_partials(
+    s_re: np.ndarray, s_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray, out=(None, None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_r(s, o): the partials of the score w.r.t. r_re and r_im."""
+    return (
+        _products(s_re, o_re, np.add, s_im, o_im, out[0]),
+        _products(s_re, o_im, np.subtract, s_im, o_re, out[1]),
+    )
+
+
+def _object_partials(
+    s_re: np.ndarray, s_im: np.ndarray, r_re: np.ndarray, r_im: np.ndarray, out=(None, None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_o(s, r): the partials of the score w.r.t. o_re and o_im."""
+    return (
+        _products(s_re, r_re, np.subtract, s_im, r_im, out[0]),
+        _products(s_im, r_re, np.add, s_re, r_im, out[1]),
+    )
+
+
+def _products(a, b, op, c, d, out) -> np.ndarray:
+    """op(a * b, c * d) elementwise, into ``out`` (a new array when None)."""
+    out = np.multiply(a, b, out=out)
+    return op(out, c * d, out=out)
 
 
 # --- Checkpoint format --------------------------------------------------

@@ -5,11 +5,16 @@ so a batch is scored and differentiated through the positives' partials:
 a corruption scores as its replacement entity's row times the partial of
 the side it replaced, and the corruptions' pull on the kept entities and
 the relation is summed per positive before the partials are applied.
-Gradient rows are summed into dense tables by sparse one-hot products
-(each output row adds its terms in a fixed order, so the result is
+The corruptions are scored in blocks of a fixed number of rows into one
+preallocated array, and the partials are written straight into the
+preallocated blocks the scatter reads, so no temporary grows with the
+number of corruptions times the embedding width. Gradient rows are
+summed into dense tables by sparse one-hot products (each output row
+adds its terms in ascending source-row order, so the result is
 deterministic) and applied with one Adam step per batch over all four
-embedding tables. Early stopping tracks filtered MRR on the validation
-triples and returns the best snapshot seen.
+embedding tables, updating the parameters and both moments in place.
+Early stopping tracks filtered MRR on the validation triples and
+returns the best snapshot seen.
 """
 
 from __future__ import annotations
@@ -21,8 +26,21 @@ from scipy import sparse
 from scipy.special import expit
 
 from ..kg import TripleSplit
-from .model import TABLES, ComplexModel, _score_arrays, _score_partials, init_embeddings
+from .model import (
+    TABLES,
+    ComplexModel,
+    _object_partials,
+    _relation_partials,
+    _score_arrays,
+    _subject_partials,
+    init_embeddings,
+)
 from .ranking import evaluate_ranking
+
+# Corruption rows scored per block: two gathered (rows, 2k) float64 blocks
+# of about 2 MB each at k = 32. Each score reduces over its own row only,
+# so the block size changes no result.
+_SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -78,18 +96,34 @@ class AdamState:
 def adam_step(
     state: AdamState, params: np.ndarray, grads: np.ndarray, lr: float
 ) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update, in place on ``params``."""
+    """One bias-corrected Adam update, in place on ``params``, ``state.m`` and ``state.v``.
+
+    Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
+    and params -= lr m_hat / (sqrt(v_hat) + eps) with two scratch arrays,
+    each product and sum in the order those expressions give. ``grads``
+    must not share memory with ``params`` or the moments.
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}"
         )
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v = state.m, state.v
+    step = np.multiply(grads, 1.0 - state.beta1)
+    m *= state.beta1
+    m += step
+    np.multiply(grads, 1.0 - state.beta2, out=step)
+    step *= grads
+    v *= state.beta2
+    v += step
+    denom = np.divide(v, 1.0 - state.beta2 ** state.t, out=step)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step = m / (1.0 - state.beta1 ** state.t)
+    step *= lr
+    step /= denom
+    params -= step
     return params, state
 
 
@@ -152,8 +186,10 @@ def _sum_rows(
 ) -> np.ndarray:
     """(n_out, cols) array: row j sums weights[i] * values[in_rows[i]] over out_rows[i] == j.
 
-    Computed as one CSR matrix (data = weights) times ``values``; each
-    output row adds its terms in input order, so the result is
+    Computed as one CSR matrix (data = weights) times ``values``. scipy
+    sums the weights of repeated (out_rows, in_rows) pairs and sorts each
+    CSR row by column, so each output row adds its terms in ascending
+    ``in_rows`` order, whatever the input order; the result is
     deterministic.
     """
     onehot = sparse.csr_array((weights, (out_rows, in_rows)), shape=(n_out, values.shape[0]))
@@ -169,6 +205,12 @@ class TrainingResult:
 
     def history_text(self) -> str:
         return "\n".join(self.history) + "\n" if self.history else ""
+
+
+def _halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The [re | im] column halves of a block of rows, as views."""
+    k = block.shape[1] // 2
+    return block[:, :k], block[:, k:]
 
 
 def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperature: float):
@@ -196,9 +238,13 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
     s_re, s_im = model.ent_re[s], model.ent_im[s]
     r_re, r_im = model.rel_re[r], model.rel_im[r]
     o_re, o_im = model.ent_re[o], model.ent_im[o]
-    p = _score_partials(s_re, s_im, r_re, r_im, o_re, o_im)
-    # rows :n hold P_s(r, o), rows n: hold P_o(s, r)
-    side_partials = np.block([[p["s_re"], p["s_im"]], [p["o_re"], p["o_im"]]])
+    # The scatter's [re|im] value rows: :n and n:2n the kept subjects' and
+    # objects' partials, 2n: the side partials, P_s(r, o) for each positive
+    # and then P_o(s, r).
+    ent_values = np.empty((4 * n, 2 * k))
+    side_partials = ent_values[2 * n :]
+    _subject_partials(r_re, r_im, o_re, o_im, out=_halves(side_partials[:n]))
+    _object_partials(s_re, s_im, r_re, r_im, out=_halves(side_partials[n:]))
 
     owner = np.repeat(np.arange(n), eta)
     subject_side = neg[:, 0] != s[owner]
@@ -206,22 +252,27 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
     partial_row = np.where(subject_side, owner, owner + n)
     ent = np.hstack((model.ent_re, model.ent_im))
     pos_scores = _score_arrays(s_re, s_im, r_re, r_im, o_re, o_im)
-    neg_scores = np.einsum(
-        "ij,ij->i", ent[replacement], side_partials[partial_row]
-    ).reshape(n, eta)
+    neg_scores = np.empty(n * eta)
+    for lo in range(0, n * eta, _SCORE_BLOCK_ROWS):
+        block = slice(lo, lo + _SCORE_BLOCK_ROWS)
+        np.einsum(
+            "ij,ij->i", ent[replacement[block]], side_partials[partial_row[block]],
+            out=neg_scores[block],
+        )
+    neg_scores = neg_scores.reshape(n, eta)
     loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores, temperature)
 
     g, g_c = d_pos[:, None], d_neg.ravel()
     a = _sum_rows(ent, partial_row, replacement, g_c, 2 * n)  # rows :n A_s, rows n: A_o
-    ks_re, ks_im = g * s_re + a[:n, :k], g * s_im + a[:n, k:]
-    ko_re, ko_im = g * o_re + a[n:, :k], g * o_im + a[n:, k:]
-    kept = _score_partials(ks_re, ks_im, r_re, r_im, ko_re, ko_im)
-    rel_s = _score_partials(ks_re, ks_im, r_re, r_im, o_re, o_im)
-    rel_o = _score_partials(s_re, s_im, r_re, r_im, a[n:, :k], a[n:, k:])
-    ent_values = np.vstack((
-        np.block([[kept["s_re"], kept["s_im"]], [kept["o_re"], kept["o_im"]]]),
-        side_partials,
-    ))
+    (as_re, as_im), (ao_re, ao_im) = _halves(a[:n]), _halves(a[n:])
+    ks_re, ks_im = g * s_re + as_re, g * s_im + as_im
+    ko_re, ko_im = g * o_re + ao_re, g * o_im + ao_im
+    _subject_partials(r_re, r_im, ko_re, ko_im, out=_halves(ent_values[:n]))
+    _object_partials(ks_re, ks_im, r_re, r_im, out=_halves(ent_values[n : 2 * n]))
+    rel_values, rel_o = np.empty((n, 2 * k)), np.empty((n, 2 * k))
+    _relation_partials(ks_re, ks_im, o_re, o_im, out=_halves(rel_values))
+    _relation_partials(s_re, s_im, ao_re, ao_im, out=_halves(rel_o))
+    rel_values += rel_o
     grad_ent = _sum_rows(
         ent_values,
         np.concatenate((s, o, replacement)),
@@ -229,11 +280,8 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
         np.concatenate((np.ones(2 * n), g_c)),
         model.ent_re.shape[0],
     )
-    grad_rel = _sum_rows(
-        np.hstack((rel_s["r_re"] + rel_o["r_re"], rel_s["r_im"] + rel_o["r_im"])),
-        r, np.arange(n), np.ones(n), model.rel_re.shape[0],
-    )
-    grads = (grad_ent[:, :k], grad_ent[:, k:], grad_rel[:, :k], grad_rel[:, k:])
+    grad_rel = _sum_rows(rel_values, r, np.arange(n), np.ones(n), model.rel_re.shape[0])
+    grads = (*_halves(grad_ent), *_halves(grad_rel))
     return loss, pos_scores, neg_scores, grads
 
 

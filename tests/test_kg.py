@@ -181,6 +181,29 @@ class TestEvidencePairs:
         assert all(s == "Context" for s in sources[:first_vehicle])
         assert all(s == "Vehicle" for s in sources[first_vehicle:])
 
+    def test_pairs_match_a_rebuild_from_enum_values(self):
+        # context, then each vehicle's four pairs in id order, first occurrence kept
+        docs = generate_corpus(default_config(), seed=2)[:4]
+        frames = [(doc, frame) for doc in docs for frame in doc.frames]
+        assert any(len(frame.vehicles) > 1 for _, frame in frames)
+        for doc, frame in frames:
+            ctx = doc.context
+            expected = [("thereIs", "ZebraCrossing", "Context")] if ctx.zebra_crossing else []
+            expected += [
+                ("hasSurroundings", ctx.surroundings.value, "Context"),
+                ("hasLanes", lane_entity(ctx.lanes), "Context"),
+            ]
+            for v in sorted(frame.vehicles, key=lambda v: v.vehicle_id):
+                for pair in (
+                    ("includes", VEHICLE_STATE_ENTITY[v.state], "Vehicle"),
+                    ("hasBrakingLights", v.braking_lights.value, "Vehicle"),
+                    ("hasDistance", v.distance.value, "Vehicle"),
+                    ("hasPosition", v.position.value, "Vehicle"),
+                ):
+                    if pair[:2] not in {e[:2] for e in expected}:
+                        expected.append(pair)
+            assert frame_evidence_pairs(doc, frame) == expected
+
     def test_minimal_frame_has_context_only(self, minimal_doc):
         pairs = frame_evidence_pairs(minimal_doc, minimal_doc.frames[0])
         assert pairs == [

@@ -1,5 +1,6 @@
 """Trainer pieces: Adam, self-adversarial loss, corruptions, gradient scatter, training loop."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,16 +9,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlukg.kg import TripleSplit, build_linked_kg
-from occlukg.kge.model import TABLES, init_embeddings, score_batch, score_gradient, score_triple
+from occlukg.kge.model import (
+    TABLES,
+    _score_arrays,
+    init_embeddings,
+    score_batch,
+    score_gradient,
+    score_triple,
+)
 from occlukg.kge.train import (
     AdamState,
     TrainingConfig,
     _batch_step,
+    _sum_rows,
     adam_step,
     corrupt_batch,
     self_adversarial_loss,
     train,
 )
+
+# The submodule itself: ``occlukg.kge.train`` as an attribute is the re-exported function.
+train_mod = importlib.import_module("occlukg.kge.train")
 
 
 class TestTrainingConfig:
@@ -104,6 +116,28 @@ class TestAdam:
         state = AdamState.for_params(params)
         adam_step(state, params, np.zeros(2), lr=0.1)
         assert np.array_equal(params, np.array([1.0, 2.0]))
+
+    def test_in_place_matches_the_expression_form_bit_for_bit(self):
+        # the update written as whole-array expressions, rebinding m and v
+        rng = np.random.default_rng(11)
+        params = rng.normal(size=(40, 6))
+        expected, m, v = params.copy(), np.zeros_like(params), np.zeros_like(params)
+        state = AdamState.for_params(params)
+        moments = (state.m, state.v)
+        for t in range(1, 51):
+            grads = rng.normal(size=params.shape) * 10.0 ** rng.integers(-6, 3)
+            returned = adam_step(state, params, grads, lr=0.01)
+            m = 0.9 * m + (1.0 - 0.9) * grads
+            v = 0.999 * v + (1.0 - 0.999) * grads * grads
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert returned[0] is params and returned[1] is state
+        assert state.m is moments[0] and state.v is moments[1]
+        assert state.t == 50
+        assert np.array_equal(params, expected)
+        assert np.array_equal(state.m, m)
+        assert np.array_equal(state.v, v)
 
 
 def one_row_loss(f_pos, f_neg, temperature):
@@ -309,6 +343,100 @@ class TestGradientScatter:
             expected_loss, _, _ = self_adversarial_loss(scores[:n], expected_neg, 1.3)
             assert loss == pytest.approx(expected_loss, rel=1e-12)
 
+    def test_rows_add_in_in_rows_order(self):
+        # input order would give 2**53 + 1 + 1 == 2**53; in_rows order
+        # adds the two ones first
+        values = np.array([[1.0], [1.0], [2.0**53]])
+        out = _sum_rows(values, np.zeros(3, dtype=np.int64), np.array([2, 0, 1]), np.ones(3), 1)
+        assert out[0, 0] == 2.0**53 + 2
+
+
+def reference_partials(s_re, s_im, r_re, r_im, o_re, o_im):
+    """The six score partials, written out as one dict."""
+    return {
+        "s_re": r_re * o_re + r_im * o_im,
+        "s_im": r_re * o_im - r_im * o_re,
+        "r_re": s_re * o_re + s_im * o_im,
+        "r_im": s_re * o_im - s_im * o_re,
+        "o_re": s_re * r_re - s_im * r_im,
+        "o_im": s_im * r_re + s_re * r_im,
+    }
+
+
+def reference_batch_step(model, pos, neg, temperature):
+    """_batch_step as whole-batch arrays: six-key partials, np.block, one gather and einsum."""
+    n, k = pos.shape[0], model.k
+    eta = neg.shape[0] // n
+    s, r, o = pos[:, 0], pos[:, 1], pos[:, 2]
+    s_re, s_im = model.ent_re[s], model.ent_im[s]
+    r_re, r_im = model.rel_re[r], model.rel_im[r]
+    o_re, o_im = model.ent_re[o], model.ent_im[o]
+    p = reference_partials(s_re, s_im, r_re, r_im, o_re, o_im)
+    side_partials = np.block([[p["s_re"], p["s_im"]], [p["o_re"], p["o_im"]]])
+
+    owner = np.repeat(np.arange(n), eta)
+    subject_side = neg[:, 0] != s[owner]
+    replacement = np.where(subject_side, neg[:, 0], neg[:, 2])
+    partial_row = np.where(subject_side, owner, owner + n)
+    ent = np.hstack((model.ent_re, model.ent_im))
+    pos_scores = _score_arrays(s_re, s_im, r_re, r_im, o_re, o_im)
+    neg_scores = np.einsum(
+        "ij,ij->i", ent[replacement], side_partials[partial_row]
+    ).reshape(n, eta)
+    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores, temperature)
+
+    g, g_c = d_pos[:, None], d_neg.ravel()
+    a = _sum_rows(ent, partial_row, replacement, g_c, 2 * n)
+    ks_re, ks_im = g * s_re + a[:n, :k], g * s_im + a[:n, k:]
+    ko_re, ko_im = g * o_re + a[n:, :k], g * o_im + a[n:, k:]
+    kept = reference_partials(ks_re, ks_im, r_re, r_im, ko_re, ko_im)
+    rel_s = reference_partials(ks_re, ks_im, r_re, r_im, o_re, o_im)
+    rel_o = reference_partials(s_re, s_im, r_re, r_im, a[n:, :k], a[n:, k:])
+    ent_values = np.vstack((
+        np.block([[kept["s_re"], kept["s_im"]], [kept["o_re"], kept["o_im"]]]),
+        side_partials,
+    ))
+    grad_ent = _sum_rows(
+        ent_values,
+        np.concatenate((s, o, replacement)),
+        np.concatenate((np.arange(2 * n), 2 * n + partial_row)),
+        np.concatenate((np.ones(2 * n), g_c)),
+        model.ent_re.shape[0],
+    )
+    grad_rel = _sum_rows(
+        np.hstack((rel_s["r_re"] + rel_o["r_re"], rel_s["r_im"] + rel_o["r_im"])),
+        r, np.arange(n), np.ones(n), model.rel_re.shape[0],
+    )
+    grads = (grad_ent[:, :k], grad_ent[:, k:], grad_rel[:, :k], grad_rel[:, k:])
+    return loss, pos_scores, neg_scores, grads
+
+
+class TestBatchStepOracle:
+    # 300 positives give 300 and 4,500 corruption rows: at 7 rows a block
+    # both end in a partial block, and 4,500 also crosses the default
+    # block size into a partial second block.
+    @pytest.mark.parametrize("block_rows", [7, train_mod._SCORE_BLOCK_ROWS])
+    @pytest.mark.parametrize("eta", [1, 15])
+    def test_bit_equal_to_the_whole_batch_formulation(
+        self, small_kg, monkeypatch, block_rows, eta
+    ):
+        monkeypatch.setattr(train_mod, "_SCORE_BLOCK_ROWS", block_rows)
+        model = init_embeddings(small_kg, 8, seed=17)
+        rng = np.random.default_rng(eta)
+        train_idx = small_kg.to_index_array()
+        pos = train_idx[rng.integers(train_idx.shape[0], size=300)]
+        neg = corrupt_batch(pos, eta, small_kg.n_entities, rng)
+        assert neg.shape[0] % block_rows != 0
+
+        got = _batch_step(model, pos, neg, 0.9)
+        want = reference_batch_step(model, pos, neg, 0.9)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        assert len(got[3]) == len(want[3]) == len(TABLES)
+        for name, g_got, g_want in zip(TABLES, got[3], want[3]):
+            assert np.array_equal(g_got, g_want), name
+
 
 def make_split(corpus_seed=1, n_docs=3, validation=True):
     from occlukg.synth import default_config, generate_corpus
@@ -433,6 +561,32 @@ class TestTrainLoop:
         assert float(checks[1][2]) > float(checks[0][2])
         assert result.best_mrr == float(checks[1][2])
         model0 = init_embeddings(split.kg, cfg.k, cfg.seed)
+        assert not np.array_equal(result.model.ent_re, model0.ent_re)
+
+    def test_l2_is_one_batch_step_and_a_closed_form_adam_step(self):
+        # one epoch of one batch, no validation: the returned model is the
+        # initial tables after one Adam step (m = v = 0) on grad + l2 * params
+        split = make_split(validation=False)
+        cfg = TrainingConfig(
+            k=6, eta=3, learning_rate=0.05, batch_size=10_000, max_epochs=1, seed=4, l2=0.1,
+        )
+        result = train(split, cfg)
+
+        model0 = init_embeddings(split.kg, cfg.k, cfg.seed)
+        train_idx = split.kg.to_index_array(split.train)
+        assert train_idx.shape[0] <= cfg.batch_size
+        rng = np.random.default_rng(cfg.seed)
+        pos = train_idx[rng.permutation(train_idx.shape[0])]
+        neg = corrupt_batch(pos, cfg.eta, split.kg.n_entities, rng)
+        loss, _, _, grads = _batch_step(model0, pos, neg, cfg.adversarial_temperature)
+        assert result.history == (f"epoch\t{loss!r}",)
+        for name, grad in zip(TABLES, grads):
+            params = getattr(model0, name)
+            g = grad + cfg.l2 * params
+            m = (1.0 - 0.9) * g
+            v = (1.0 - 0.999) * g * g
+            step = cfg.learning_rate * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+            assert np.array_equal(getattr(result.model, name), params - step), name
         assert not np.array_equal(result.model.ent_re, model0.ent_re)
 
     def test_empty_training_set_rejected(self):
