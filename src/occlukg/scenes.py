@@ -298,6 +298,8 @@ def _parse_frame(elem: ET.Element) -> FrameAnnotation:
     pedestrians = []
     vehicles = []
     for child in elem:
+        if (tail := child.tail) and tail.strip():
+            raise SceneValidationError("<frame> must not contain text content")
         if child.tag == "pedestrian":
             pedestrians.append(_parse_pedestrian(child))
         elif child.tag == "vehicle":
@@ -334,6 +336,8 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
     context_elem = None
     frame_elems = []
     for child in root:
+        if (tail := child.tail) and tail.strip():
+            raise SceneValidationError("<roadScene> must not contain text content")
         if child.tag == "context":
             if context_elem is not None:
                 raise SceneValidationError("<roadScene> must contain exactly one <context>")
@@ -397,47 +401,67 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
     return doc
 
 
+def _escape_attrib(text: str) -> str:
+    """Attribute-value escaping, character for character as ElementTree writes it."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
+
+
 def serialize_scene_xml(doc: RoadSceneDocument) -> bytes:
-    """Serialize a document to XML bytes. Inverse of parse_scene_xml."""
-    root = ET.Element(
-        "roadScene",
-        {"id": doc.context.scene_id, "environment": doc.context.environment.value},
-    )
-    ET.SubElement(
-        root,
-        "context",
-        {
-            "zebraCrossing": "true" if doc.context.zebra_crossing else "false",
-            "lanes": str(doc.context.lanes),
-            "surroundings": doc.context.surroundings.value,
-        },
-    )
+    """Serialize a document to XML bytes. Inverse of parse_scene_xml.
+
+    The bytes are those of ElementTree's ``tostring`` after
+    ``indent(space="  ")``, with the declaration and a final newline:
+    two-space indent, self-closing ``" />"`` tags and attributes in a
+    fixed order. They are written directly, without building a tree.
+    """
+    ctx = doc.context
+    out = [
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<roadScene id="{_escape_attrib(ctx.scene_id)}" environment="{ctx.environment.value}">\n'
+        f'  <context zebraCrossing="{"true" if ctx.zebra_crossing else "false"}" '
+        f'lanes="{ctx.lanes}" surroundings="{ctx.surroundings.value}" />\n'
+    ]
     for frame in doc.frames:
-        frame_elem = ET.SubElement(
-            root,
-            "frame",
-            {
-                "number": str(frame.frame_number),
-                "pedestriansScene": frame.pedestrians_scene.value,
-            },
+        head = (
+            f'  <frame number="{frame.frame_number}" '
+            f'pedestriansScene="{frame.pedestrians_scene.value}"'
         )
+        if not (frame.pedestrians or frame.vehicles):
+            out.append(head + " />\n")
+            continue
+        out.append(head + ">\n")
         for p in frame.pedestrians:
-            attrs = {"id": p.pedestrian_id, "occlusion": p.occlusion.value}
-            if p.visible_fraction is not None:
-                # repr keeps the shortest decimal that round-trips exactly
-                attrs["visibleFraction"] = repr(p.visible_fraction)
-            ET.SubElement(frame_elem, "pedestrian", attrs)
-        for v in frame.vehicles:
-            ET.SubElement(
-                frame_elem,
-                "vehicle",
-                {
-                    "id": v.vehicle_id,
-                    "state": v.state.value,
-                    "brakingLights": v.braking_lights.value,
-                    "distance": v.distance.value,
-                    "position": v.position.value,
-                },
+            # repr keeps the shortest decimal that round-trips exactly
+            fraction = (
+                "" if p.visible_fraction is None
+                else f' visibleFraction="{p.visible_fraction!r}"'
             )
-    ET.indent(root, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+            out.append(
+                f'    <pedestrian id="{_escape_attrib(p.pedestrian_id)}" '
+                f'occlusion="{p.occlusion.value}"{fraction} />\n'
+            )
+        for v in frame.vehicles:
+            out.append(
+                f'    <vehicle id="{_escape_attrib(v.vehicle_id)}" state="{v.state.value}" '
+                f'brakingLights="{v.braking_lights.value}" distance="{v.distance.value}" '
+                f'position="{v.position.value}" />\n'
+            )
+        out.append("  </frame>\n")
+    out.append("</roadScene>\n")
+    # ElementTree's writer encodes with this handler too: a code point
+    # UTF-8 cannot carry becomes a character reference.
+    return "".join(out).encode("utf-8", "xmlcharrefreplace")

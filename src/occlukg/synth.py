@@ -13,6 +13,7 @@ class-separating structure in the knowledge graph.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -228,37 +229,86 @@ def _category_order(keys) -> list:
     return sorted(keys, key=lambda k: str(getattr(k, "value", k)))
 
 
-def _draw(rng: np.random.Generator, row: Mapping):
-    """Weighted draw with a fixed category order for determinism."""
+# A cumulative draw table: the row's keys in _category_order and the
+# cumulative weights that Generator.choice(len(keys), p=...) searches.
+_DrawTable = tuple[list, list[float]]
+
+
+def _draw_table(row: Mapping) -> _DrawTable:
+    """Compile one CPT row into keys and cumulative weights.
+
+    The cumulative list is computed exactly as ``Generator.choice`` computes
+    it from ``p``, so a draw from it returns the same key and consumes the
+    same single double from the stream.
+    """
     keys = _category_order(row)
     probs = np.array([row[k] for k in keys], dtype=np.float64)
-    probs = probs / probs.sum()
-    return keys[int(rng.choice(len(keys), p=probs))]
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return keys, cdf.tolist()
+
+
+def _draw(rng: np.random.Generator, table: _DrawTable):
+    """Weighted draw: ``keys[rng.choice(len(keys), p=...)]`` without its per-call setup."""
+    keys, cdf = table
+    return keys[bisect_right(cdf, rng.random())]
+
+
+@dataclass(frozen=True)
+class _CorpusTables:
+    """Every CPT row that _generate_scene draws from, compiled once per corpus."""
+
+    label: _DrawTable
+    lanes: _DrawTable
+    vehicle_count: _DrawTable
+    position: _DrawTable
+    state: Mapping[SceneLabel, _DrawTable]
+    distance: Mapping[SceneLabel, _DrawTable]
+    surroundings: Mapping[SceneLabel, _DrawTable]
+    lights: Mapping[VehicleState, _DrawTable]
+    occluded_level: _DrawTable
+
+    @classmethod
+    def compile(cls, config: GeneratorConfig) -> "_CorpusTables":
+        occl_row = config.occlusion_given_label[SceneLabel.PEDESTRIAN_OCCLUDED]
+        occluded_row = {
+            level: p
+            for level, p in occl_row.items()
+            if level in (OcclusionLevel.PARTIAL, OcclusionLevel.FULL) and p > 0
+        }
+        return cls(
+            label=_draw_table(config.label_prior),
+            lanes=_draw_table(config.lane_weights),
+            vehicle_count=_draw_table(config.vehicle_count_weights),
+            position=_draw_table(config.position_weights),
+            state={lb: _draw_table(config.state_given_label[lb]) for lb in SceneLabel},
+            distance={lb: _draw_table(config.distance_given_label[lb]) for lb in SceneLabel},
+            surroundings={
+                lb: _draw_table(config.surroundings_given_label[lb]) for lb in SceneLabel
+            },
+            lights={s: _draw_table(config.lights_given_state[s]) for s in VehicleState},
+            occluded_level=_draw_table(occluded_row),
+        )
 
 
 def _generate_scene(
     scene_id: str,
     environment: Environment,
     config: GeneratorConfig,
+    tables: _CorpusTables,
     rng: np.random.Generator,
 ) -> RoadSceneDocument:
-    label = _draw(rng, config.label_prior)
+    label = _draw(rng, tables.label)
     context = SceneContext(
         scene_id=scene_id,
         environment=environment,
         zebra_crossing=bool(rng.random() < config.zebra_given_label[label]),
-        lanes=int(_draw(rng, config.lane_weights)),
-        surroundings=_draw(rng, config.surroundings_given_label[label]),
+        lanes=int(_draw(rng, tables.lanes)),
+        surroundings=_draw(rng, tables.surroundings[label]),
     )
     pedestrians: tuple[PedestrianRecord, ...] = ()
     if label is SceneLabel.PEDESTRIAN_OCCLUDED:
-        row = config.occlusion_given_label[label]
-        occluded_row = {
-            level: p
-            for level, p in row.items()
-            if level in (OcclusionLevel.PARTIAL, OcclusionLevel.FULL) and p > 0
-        }
-        level = _draw(rng, occluded_row)
+        level = _draw(rng, tables.occluded_level)
         if level is OcclusionLevel.PARTIAL:
             fraction = float(rng.uniform(0.26, 0.95))
         else:
@@ -273,19 +323,21 @@ def _generate_scene(
 
     lo, hi = config.frames_per_scene
     n_frames = int(rng.integers(lo, hi + 1))
+    state_table = tables.state[label]
+    distance_table = tables.distance[label]
     frames = []
     for number in range(n_frames):
-        n_vehicles = int(_draw(rng, config.vehicle_count_weights))
+        n_vehicles = int(_draw(rng, tables.vehicle_count))
         vehicles = []
         for v in range(n_vehicles):
-            state = _draw(rng, config.state_given_label[label])
+            state = _draw(rng, state_table)
             vehicles.append(
                 VehicleRecord(
                     vehicle_id=f"veh-{v}",
                     state=state,
-                    braking_lights=_draw(rng, config.lights_given_state[state]),
-                    distance=_draw(rng, config.distance_given_label[label]),
-                    position=_draw(rng, config.position_weights),
+                    braking_lights=_draw(rng, tables.lights[state]),
+                    distance=_draw(rng, distance_table),
+                    position=_draw(rng, tables.position),
                 )
             )
         frames.append(
@@ -302,11 +354,12 @@ def _generate_scene(
 def generate_corpus(config: GeneratorConfig, seed: int) -> list[RoadSceneDocument]:
     """Deterministic corpus for (config, seed); every document validates."""
     rng = np.random.default_rng(seed)
+    tables = _CorpusTables.compile(config)
     docs = []
     for env in sorted(config.n_scenes, key=lambda e: e.value):
         for i in range(config.n_scenes[env]):
             scene_id = f"scene-{env.value.lower()}-{i:04d}"
-            doc = _generate_scene(scene_id, env, config, rng)
+            doc = _generate_scene(scene_id, env, config, tables, rng)
             problems = validate_document(doc)
             if problems:  # unreachable by construction; guards config drift
                 raise GeneratorError(

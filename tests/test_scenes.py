@@ -1,5 +1,7 @@
 """Scene documents: XML round-trips, schema rejection, labeling rules."""
 
+import xml.etree.ElementTree as ET
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from occlukg.scenes import (
     serialize_scene_xml,
     validate_document,
 )
+from occlukg.synth import asymmetric_corpus, default_config, generate_corpus, uninformative_config
 
 MINIMAL_XML = b"""<?xml version='1.0' encoding='utf-8'?>
 <roadScene id="scene-0001" environment="Real">
@@ -125,6 +128,34 @@ class TestParse:
         with pytest.raises(SceneValidationError, match="PedestrianOccluded"):
             parse_scene_xml(xml)
 
+    @pytest.mark.parametrize(
+        "original, altered, element",
+        [
+            (b'surroundings="Vegetation"/>', b'surroundings="Vegetation"/>junk', "roadScene"),
+            (b"</frame>", b"</frame>stray", "roadScene"),
+            (b'visibleFraction="0.1"/>', b'visibleFraction="0.1"/>junk', "frame"),
+            (b'position="FrontLeft"/>', b'position="FrontLeft"/>junk', "frame"),
+        ],
+        ids=["after-context", "after-frame", "between-frame-children", "before-frame-end"],
+    )
+    def test_text_after_a_child_rejected(self, original, altered, element):
+        xml = b"""<roadScene id="s" environment="Virtual">
+          <context zebraCrossing="true" lanes="3" surroundings="Vegetation"/>
+          <frame number="0" pedestriansScene="PedestrianOccluded">
+            <pedestrian id="p0" occlusion="Full" visibleFraction="0.1"/>
+            <vehicle id="v0" state="Decelerating" brakingLights="On"
+                     distance="NearToEgoVeh" position="FrontLeft"/>
+          </frame>
+        </roadScene>"""
+        assert len(parse_scene_xml(xml).frames) == 1
+        with pytest.raises(SceneValidationError, match=f"<{element}> must not contain text"):
+            parse_scene_xml(xml.replace(original, altered))
+
+    def test_text_before_the_first_child_rejected(self):
+        xml = MINIMAL_XML.replace(b'environment="Real">', b'environment="Real">lead')
+        with pytest.raises(SceneValidationError, match="<roadScene> must not contain text"):
+            parse_scene_xml(xml)
+
     def test_case_sensitive_enum_spellings(self):
         xml = MINIMAL_XML.replace(b'environment="Real"', b'environment="real"')
         with pytest.raises(SceneValidationError):
@@ -199,8 +230,7 @@ def _pedestrians_for(label, draw_ids):
     return st.lists(record, min_size=1, max_size=3).map(tuple)
 
 
-def _frame(number):
-    ids = st.text(alphabet="abcdef0123456789-", min_size=1, max_size=8)
+def _frame(number, ids):
     vehicle = st.builds(
         VehicleRecord,
         vehicle_id=ids,
@@ -220,20 +250,40 @@ def _frame(number):
     )
 
 
-documents = st.builds(
-    RoadSceneDocument,
-    context=st.builds(
-        SceneContext,
-        scene_id=st.text(alphabet="abcdefgh-0123456789", min_size=1, max_size=16),
-        environment=st.sampled_from(Environment),
-        zebra_crossing=st.booleans(),
-        lanes=st.integers(min_value=1, max_value=6),
-        surroundings=st.sampled_from(Surroundings),
-    ),
-    frames=st.integers(min_value=1, max_value=5).flatmap(
-        lambda n: st.tuples(*[_frame(i) for i in range(n)])
-    ),
+def _documents(scene_ids, ids):
+    return st.builds(
+        RoadSceneDocument,
+        context=st.builds(
+            SceneContext,
+            scene_id=scene_ids,
+            environment=st.sampled_from(Environment),
+            zebra_crossing=st.booleans(),
+            lanes=st.integers(min_value=1, max_value=6),
+            surroundings=st.sampled_from(Surroundings),
+        ),
+        frames=st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.tuples(*[_frame(i, ids) for i in range(n)])
+        ),
+    )
+
+
+documents = _documents(
+    st.text(alphabet="abcdefgh-0123456789", min_size=1, max_size=16),
+    st.text(alphabet="abcdef0123456789-", min_size=1, max_size=8),
 )
+
+# Free-text ids with every character ElementTree escapes in an attribute,
+# and non-ASCII text; surrogates, control and unassigned code points are
+# left out because XML cannot carry them.
+_awkward_ids = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('&<>"\r\n\t'),
+        st.characters(blacklist_categories=("Cs", "Cc", "Cn")),
+    ),
+    min_size=1,
+    max_size=12,
+)
+awkward_documents = _documents(_awkward_ids, _awkward_ids)
 
 
 class TestRoundTripProperty:
@@ -241,6 +291,79 @@ class TestRoundTripProperty:
     @given(documents)
     def test_parse_inverts_serialize(self, doc):
         assert parse_scene_xml(serialize_scene_xml(doc)) == doc
+
+
+def reference_serialize(doc: RoadSceneDocument) -> bytes:
+    """The ElementTree serializer that serialize_scene_xml must match byte for byte."""
+    root = ET.Element(
+        "roadScene",
+        {"id": doc.context.scene_id, "environment": doc.context.environment.value},
+    )
+    ET.SubElement(
+        root,
+        "context",
+        {
+            "zebraCrossing": "true" if doc.context.zebra_crossing else "false",
+            "lanes": str(doc.context.lanes),
+            "surroundings": doc.context.surroundings.value,
+        },
+    )
+    for frame in doc.frames:
+        frame_elem = ET.SubElement(
+            root,
+            "frame",
+            {
+                "number": str(frame.frame_number),
+                "pedestriansScene": frame.pedestrians_scene.value,
+            },
+        )
+        for p in frame.pedestrians:
+            attrs = {"id": p.pedestrian_id, "occlusion": p.occlusion.value}
+            if p.visible_fraction is not None:
+                attrs["visibleFraction"] = repr(p.visible_fraction)
+            ET.SubElement(frame_elem, "pedestrian", attrs)
+        for v in frame.vehicles:
+            ET.SubElement(
+                frame_elem,
+                "vehicle",
+                {
+                    "id": v.vehicle_id,
+                    "state": v.state.value,
+                    "brakingLights": v.braking_lights.value,
+                    "distance": v.distance.value,
+                    "position": v.position.value,
+                },
+            )
+    ET.indent(root, space="  ")
+    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+
+
+class TestSerializerMatchesElementTree:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: generate_corpus(default_config(), 0),
+            lambda: generate_corpus(uninformative_config(), 1),
+            lambda: asymmetric_corpus(2),
+        ],
+        ids=["default-0", "uninformative-1", "asymmetric-2"],
+    )
+    def test_generated_corpora(self, make):
+        corpus = make()
+        assert any(not (f.pedestrians or f.vehicles) for d in corpus for f in d.frames)
+        for doc in corpus:
+            assert serialize_scene_xml(doc) == reference_serialize(doc)
+
+    def test_fixture_documents(self, tiny_corpus):
+        for doc in tiny_corpus:
+            assert serialize_scene_xml(doc) == reference_serialize(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(awkward_documents)
+    def test_free_text_ids(self, doc):
+        data = serialize_scene_xml(doc)
+        assert data == reference_serialize(doc)
+        assert parse_scene_xml(data) == doc
 
 
 class TestValidateDocument:

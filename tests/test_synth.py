@@ -1,12 +1,16 @@
 """CPT-driven corpus generator: validation, determinism, planted structure."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from occlukg.scenes import (
     BrakingLights,
@@ -15,13 +19,18 @@ from occlukg.scenes import (
     OcclusionLevel,
     SceneLabel,
     Surroundings,
+    VehiclePosition,
     VehicleState,
     parse_scene_xml,
+    serialize_scene_xml,
     validate_document,
 )
 from occlukg.synth import (
     LABEL_FRAME_COUNTS,
     GeneratorError,
+    _category_order,
+    _draw,
+    _draw_table,
     asymmetric_corpus,
     default_config,
     generate_corpus,
@@ -342,3 +351,69 @@ class TestWriteCorpus:
     def test_empty_corpus_writes_empty_manifest(self, tmp_path):
         write_corpus([], tmp_path)
         assert (tmp_path / "manifest.tsv").read_text() == ""
+
+
+# sha256 of the concatenated serialize_scene_xml output of each corpus.
+# These corpora are the data behind the acceptance and benchmark fixtures,
+# so a change to the generator's draws or to the XML bytes shows here.
+PINNED_CORPUS_SHA256 = {
+    "default-0": "405e1368e7fdf6e7b7d5ff26779864f286a6c736ad72b9c44566cc231d5d4d77",
+    "default-1": "d7a626cd7534c2d5a24d66742ad5f8657c034828908f296c7c3d717433fc8554",
+    "uninformative-0": "cd1b53b49a822c080eb1c58939158eea933c30f0f06b3086290c824727d5b917",
+    "asymmetric-0": "275f8651f8c0e5b094dbd8e9ff0ffc4a1772ac25b12df7ad7eac41aa1438161e",
+}
+
+
+class TestPinnedCorpusBytes:
+    @pytest.mark.parametrize(
+        "name, make",
+        [
+            ("default-0", lambda: generate_corpus(default_config(), 0)),
+            ("default-1", lambda: generate_corpus(default_config(), 1)),
+            ("uninformative-0", lambda: generate_corpus(uninformative_config(), 0)),
+            ("asymmetric-0", lambda: asymmetric_corpus(0)),
+        ],
+    )
+    def test_corpus_bytes_are_pinned(self, name, make):
+        data = b"".join(serialize_scene_xml(doc) for doc in make())
+        assert hashlib.sha256(data).hexdigest() == PINNED_CORPUS_SHA256[name]
+
+
+weights = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+row_keys = st.one_of(
+    st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True),
+    st.lists(st.sampled_from(list(VehiclePosition)), min_size=1, unique=True),
+    st.lists(st.sampled_from(list(VehicleState)), min_size=1, unique=True),
+)
+
+
+class TestDrawRule:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), row_keys, st.integers(0, 2**32 - 1))
+    def test_matches_generator_choice(self, data, keys, seed):
+        """Same key and same stream position as keys[rng.choice(n, p=probs)]."""
+        row = {k: data.draw(weights) for k in keys}
+        if sum(row.values()) == 0:
+            row[keys[0]] = 1.0
+        ordered = _category_order(row)
+        probs = np.array([row[k] for k in ordered], dtype=np.float64)
+        probs = probs / probs.sum()
+        table = _draw_table(row)
+        drawn, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            assert _draw(drawn, table) == ordered[int(twin.choice(len(ordered), p=probs))]
+        assert drawn.bit_generator.state == twin.bit_generator.state
+
+    def test_a_draw_on_a_boundary_skips_zero_weight_keys(self):
+        """A uniform on a cumulative step goes right, as searchsorted(side="right") does."""
+
+        class Fixed:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        table = _draw_table({"a": 0.0, "b": 0.5, "c": 0.0, "d": 0.5})
+        drawn = [_draw(Fixed(u), table) for u in (0.0, 0.25, 0.5, 0.75)]
+        assert drawn == ["b", "b", "d", "d"]
