@@ -403,10 +403,7 @@ def cmd_train(args) -> int:
     validation = tuple(triples[i] for i in np.sort(chosen)) if n_val else ()
     held_out = set(validation)
     split = TripleSplit(
-        kg=kg,
-        train=tuple(t for t in triples if t not in held_out),
-        validation=validation,
-        test=(),
+        kg=kg, train=tuple(t for t in triples if t not in held_out), validation=validation
     )
 
     result = train(split, config)

@@ -217,18 +217,17 @@ def _calibration_sets(split, rng: np.random.Generator):
     cells are the decisive ones — they sit much closer to the positives
     than random corruptions do, which keeps the fitted slope gentle
     enough that score differences among high-scoring triples survive
-    the mapping.  Splits without pattern triples, or whose grid has no
-    absent cell (every training scene shares one label), fall back to
-    uniform corruption negatives around the validation triples or a
-    training-triple sample.
+    the mapping.  A cell is absent when it is neither a training nor a
+    validation triple (the split holds nothing of the test fold).  Only
+    a grid with no absent cell (one training label, or validation
+    triples filling the rest) or a hand-built split without pattern
+    triples falls back to uniform corruption negatives around the
+    validation triples or a training-triple sample.
     """
     known = split.all_known()
     # prototypes for classes absent from the train fold have no embedding
     subjects = tuple(s for s in _PATTERN_SUBJECTS if s in split.kg.entity_index)
-    pattern = sorted(
-        (t for t in split.train if t.subject in subjects),
-        key=lambda t: (t.relation, t.subject, t.object),
-    )
+    pattern = [t for t in split.train if t.subject in subjects]
     if pattern:
         objects_by_relation: dict[str, set[str]] = {}
         for t in pattern:

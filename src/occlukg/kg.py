@@ -4,7 +4,10 @@ Turns a corpus of RoadSceneDocument into a triple store over a fixed
 road-scene ontology, materializes class-level prototype entities
 (SceneWithOccludedPed / SceneWithVisiblePed / SceneWithNoPed plus a
 generic RoadScene) whose embeddings the Bayesian predictor later
-queries, and carves scene-level train/validation/test splits.
+queries, and carves scene-level train/validation/test folds. The triple
+split holds only the training graph and the validation triples: only
+the predictor reads the test fold, so no test-scene label reaches
+training or calibration.
 
 Entity id conventions:
   scene:<scene_id>            one per document
@@ -495,30 +498,22 @@ def kg_stats(kg: KnowledgeGraph) -> KgStats:
 
 @dataclass(frozen=True)
 class TripleSplit:
-    """Scene-level corpus split plus the triple sets used for training.
+    """The triples training and calibration may read.
 
     ``train`` is the full training knowledge graph's triple set
-    (including prototype triples). ``validation`` and ``test`` hold
-    class-level triples derived from their scenes, restricted to the
-    training vocabulary; scene- and frame-local entities never cross
-    folds. Validation/test triples may coincide with training triples:
-    prototype subjects are shared by construction.
+    (including prototype triples). ``validation`` holds the class-level
+    triples of the validation scenes, restricted to the training
+    vocabulary; it may coincide with training triples, since prototype
+    subjects are shared by construction. Nothing here derives from the
+    test fold: only the predictor reads it.
     """
 
     kg: KnowledgeGraph
     train: tuple[Triple, ...]
     validation: tuple[Triple, ...]
-    test: tuple[Triple, ...]
-    train_scene_ids: frozenset[str] = frozenset()
-    validation_scene_ids: frozenset[str] = frozenset()
-    test_scene_ids: frozenset[str] = frozenset()
 
     def all_known(self) -> frozenset[Triple]:
-        return frozenset(self.train) | frozenset(self.validation) | frozenset(self.test)
-
-
-def _in_vocabulary(triple: Triple, kg: KnowledgeGraph) -> bool:
-    return triple.subject in kg.entity_index and triple.object in kg.entity_index
+        return frozenset(self.train) | frozenset(self.validation)
 
 
 @dataclass(frozen=True)
@@ -594,23 +589,19 @@ def assign_folds(
 
 
 def make_split(folds: FoldAssignment) -> TripleSplit:
-    """Derive the triple-level split from scene folds.
+    """Derive the triple-level split from the train and validation folds.
 
-    The training KG is compiled from train scenes only; validation and
-    test carry the class-level triples of their scenes restricted to
-    the training vocabulary, so every evaluated entity has an embedding.
+    The training KG is compiled from train scenes only; validation
+    carries the class-level triples of its scenes restricted to the
+    training vocabulary, so every evaluated entity has an embedding.
+    ``folds.test`` is never read: only the predictor reads the test fold.
     """
     kg = build_linked_kg(folds.train)
+    vocabulary = kg.entity_index
     validation = {
-        t for t in class_level_triples(folds.validation) if _in_vocabulary(t, kg)
+        t for t in class_level_triples(folds.validation)
+        if t.subject in vocabulary and t.object in vocabulary
     }
-    test = {t for t in class_level_triples(folds.test) if _in_vocabulary(t, kg)}
     return TripleSplit(
-        kg=kg,
-        train=tuple(kg.sorted_triples()),
-        validation=tuple(sorted(validation)),
-        test=tuple(sorted(test)),
-        train_scene_ids=frozenset(d.scene_id for d in folds.train),
-        validation_scene_ids=frozenset(d.scene_id for d in folds.validation),
-        test_scene_ids=frozenset(d.scene_id for d in folds.test),
+        kg=kg, train=tuple(kg.sorted_triples()), validation=tuple(sorted(validation))
     )

@@ -13,6 +13,7 @@ is what lets a single relation embedding capture directed facts.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
@@ -293,6 +294,7 @@ def save_checkpoint(model: ComplexModel) -> tuple[bytes, bytes]:
 
 
 def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
+    """The model save_checkpoint wrote; CheckpointError on any corrupt or non-finite input."""
     if len(blob) < _HEADER.size:
         raise CheckpointError("checkpoint shorter than header")
     magic, version, k, n_ent, n_rel, a, b = _HEADER.unpack_from(blob, 0)
@@ -317,6 +319,12 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
             f"sidecar lists {len(entities)} entities / {len(relations)} relations, "
             f"header says {n_ent} / {n_rel}"
         )
+    for kind, names in (("entity", entities), ("relation", relations)):
+        if len(set(names)) != len(names):  # the name's earlier row could never be looked up
+            twice = min(n for n, c in Counter(names).items() if c > 1)
+            raise CheckpointError(f"sidecar lists {kind} {twice!r} more than once")
+    if not np.isfinite((a, b)).all():
+        raise CheckpointError(f"calibration ({a}, {b}) is not finite")
     offset = _HEADER.size
     arrays = []
     for rows in (n_ent, n_ent, n_rel, n_rel):
@@ -324,4 +332,7 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays.append(arr.reshape(rows, k).astype(np.float64))
         offset += 8 * count
-    return ComplexModel(entities, relations, *arrays, calibration=(a, b))
+    try:
+        return ComplexModel(entities, relations, *arrays, calibration=(a, b))
+    except ValueError as exc:  # a non-finite table value; the shapes are checked above
+        raise CheckpointError(str(exc)) from None

@@ -289,11 +289,12 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
     """Fit embeddings on a split's training triples.
 
     Every ``check_every`` epochs, and after the last epoch, the
-    filtered validation MRR is measured (against the union of all split
-    triples); ``patience`` consecutive checks without strict improvement
-    over the best seen — including the untrained baseline — stop
-    training, and the best snapshot is returned. Without validation
-    triples, runs the full ``max_epochs`` and returns the final model.
+    filtered validation MRR is measured (against the split's training
+    and validation triples; it holds nothing of the test fold); ``patience``
+    consecutive checks without strict improvement over the best seen —
+    including the untrained baseline — stop training, and the best
+    snapshot is returned. Without validation triples, runs the full
+    ``max_epochs`` and returns the final model.
     """
     kg = splits.kg
     train_idx = kg.to_index_array(splits.train)
@@ -304,10 +305,10 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
     adam = {name: AdamState.for_params(getattr(model, name)) for name in TABLES}
     history: list[str] = []
     has_validation = len(splits.validation) > 0
-    known = splits.all_known()
     best_model = model.copy()
     best_mrr = float("nan")
     if has_validation:
+        known = splits.all_known()
         best_mrr = evaluate_ranking(model, splits.validation, known).mrr
         history.append(f"check\t0\t{best_mrr!r}")
 

@@ -219,7 +219,7 @@ class TestSmallGraphMemorization:
             triples.add(Triple(entities[s], relations[int(rng.integers(4))], entities[o]))
         kg = KnowledgeGraph(triples=frozenset(triples))
         ordered = tuple(kg.sorted_triples())
-        split = TripleSplit(kg=kg, train=ordered, validation=ordered, test=())
+        split = TripleSplit(kg=kg, train=ordered, validation=ordered)
         config = TrainingConfig(
             k=32,
             eta=10,

@@ -4,6 +4,7 @@ import importlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -557,6 +558,17 @@ class TestPredict:
         code = main(["predict", "--model", str(tmp_path / "nope.npz"),
                      "--scene", str(scene), "--frame", "0"])
         assert code == EXIT_USAGE
+
+    def test_non_finite_checkpoint_is_bad_data(self, corpus_dir, model_path, tmp_path, capsys):
+        blob = model_path.read_bytes()
+        nan_model = tmp_path / "nan.npz"
+        nan_model.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        shutil.copy(str(model_path) + ".vocab", str(nan_model) + ".vocab")
+        scene = sorted(corpus_dir.glob("*.xml"))[0]
+        code = main(["predict", "--model", str(nan_model), "--scene", str(scene),
+                     "--frame", "0"])
+        assert code == EXIT_DATA
+        assert "non-finite" in capsys.readouterr().err
 
     def test_bad_denominator_choice(self, corpus_dir, model_path):
         scene = sorted(corpus_dir.glob("*.xml"))[0]

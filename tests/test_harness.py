@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from occlukg import harness
 from occlukg.harness import (
     CROSS_ENVIRONMENT_COMBOS,
     ConfusionMatrix,
@@ -15,6 +16,7 @@ from occlukg.harness import (
     MetricsReport,
     _calibration_sets,
     compute_metrics,
+    headline_spec,
     render_report,
     run_cross_environment,
     run_experiment,
@@ -31,6 +33,8 @@ from occlukg.kg import (
     build_kg,
     make_split,
 )
+from occlukg.kge.calibrate import calibrate
+from occlukg.kge.model import TABLES
 from occlukg.kge.train import TrainingConfig
 from occlukg.scenes import Environment, SceneLabel
 from occlukg.synth import default_config, generate_corpus
@@ -179,13 +183,53 @@ class TestCalibrationSets:
         # back to corruption sampling around the positives
         kg = build_kg(small_corpus[:3])
         triples = tuple(kg.sorted_triples())
-        split = TripleSplit(kg=kg, train=triples, validation=triples[:10], test=())
+        split = TripleSplit(kg=kg, train=triples, validation=triples[:10])
         positives, negatives = _calibration_sets(split, np.random.default_rng(0))
         assert list(positives) == list(triples[:10])
         known = split.all_known()
         assert negatives
         for t in negatives:
             assert t not in known
+
+
+class TestTestFoldIsolation:
+    """Only the predictor reads the test fold.
+
+    Swapping every test-fold scene for another scene with the same id
+    and environment keeps the fold assignment, so the trained tables and
+    the fitted calibration must not change. Corpus seeds 1 and 3 are
+    ones where test scenes hold pattern cells the training scenes lack.
+    """
+
+    @pytest.mark.parametrize("corpus_seed", [1, 3])
+    def test_training_and_calibration_ignore_test_scenes(self, monkeypatch, corpus_seed):
+        spec = headline_spec(k=8, epochs=2)
+        corpus = generate_corpus(default_config(), seed=corpus_seed)
+        folds = assign_folds(corpus, spec.counts, spec.seed, spec.validation_ratio)
+        others = generate_corpus(default_config(), seed=corpus_seed + 100)
+        test_ids = {d.scene_id for d in folds.test}
+        stand_ins = {d.scene_id: d for d in others if d.scene_id in test_ids}
+        swapped = [stand_ins.get(d.scene_id, d) for d in corpus]
+        assert len(stand_ins) == len(folds.test)
+        assert all(stand_ins[d.scene_id] != d for d in folds.test)
+        assert all(
+            stand_ins[d.scene_id].context.environment is d.context.environment
+            for d in folds.test
+        )
+
+        fitted = []
+
+        def recording_calibrate(model, positives, negatives):
+            fitted.append(model)
+            return calibrate(model, positives, negatives)
+
+        monkeypatch.setattr(harness, "calibrate", recording_calibrate)
+        run_experiment(corpus, spec)
+        run_experiment(swapped, spec)
+        original, other = fitted
+        for name in TABLES:
+            assert np.array_equal(getattr(original, name), getattr(other, name)), name
+        assert original.calibration == other.calibration
 
 
 class TestRunExperiment:

@@ -1,5 +1,7 @@
 """Knowledge-graph compilation, prototype linkage, splits, TSV format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -443,11 +445,12 @@ class TestSplit:
     def corpus(self, split_docs):
         return split_docs
 
-    def test_validation_and_test_stay_in_train_vocabulary(self, corpus):
+    def test_validation_stays_in_train_vocabulary(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
         split = make_split(assign_folds(corpus, counts, seed=0))
         vocab = set(split.kg.entities)
-        for t in (*split.validation, *split.test):
+        assert split.validation
+        for t in split.validation:
             assert t.subject in vocab and t.object in vocab
 
     def test_train_triples_are_the_graph(self, corpus):
@@ -455,16 +458,18 @@ class TestSplit:
         split = make_split(assign_folds(corpus, counts, seed=0))
         assert set(split.train) == set(split.kg.triples)
 
-    def test_scene_ids_recorded(self, corpus):
+    def test_test_fold_is_never_read(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
         folds = assign_folds(corpus, counts, seed=0)
-        split = make_split(folds)
-        assert split.train_scene_ids == {d.scene_id for d in folds.train}
-        assert split.test_scene_ids == {d.scene_id for d in folds.test}
+        assert folds.test
+        assert make_split(folds) == make_split(dataclasses.replace(folds, test=()))
 
     def test_no_frame_entities_cross_folds(self, corpus):
         counts = {Environment.REAL: (8, 3), Environment.VIRTUAL: (8, 3)}
-        split = make_split(assign_folds(corpus, counts, seed=0))
-        test_scene_prefixes = tuple(f"frame:{sid}" for sid in split.test_scene_ids)
+        folds = assign_folds(corpus, counts, seed=0)
+        split = make_split(folds)
+        held_out = (*folds.validation, *folds.test)
+        assert held_out
+        held_out_prefixes = tuple(f"frame:{d.scene_id}:" for d in held_out)
         for entity in split.kg.entities:
-            assert not entity.startswith(test_scene_prefixes)
+            assert not entity.startswith(held_out_prefixes)

@@ -1,5 +1,7 @@
 """Embedding model: init, scoring, analytic gradients, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,33 @@ class TestCheckpoint:
         blob, _ = save_checkpoint(model)
         with pytest.raises(CheckpointError, match="---"):
             load_checkpoint(blob, b"a\nb\nr\n")
+
+    @pytest.mark.parametrize(
+        "sidecar, named",
+        [(b"a\na\n---\nr\ns\n", "entity 'a'"), (b"a\nb\n---\nr\nr\n", "relation 'r'")],
+    )
+    def test_sidecar_name_listed_twice(self, sidecar, named):
+        model = init_tables(("a", "b"), ("r", "s"), k=2, seed=0)
+        blob, _ = save_checkpoint(model)
+        with pytest.raises(CheckpointError, match=named):
+            load_checkpoint(blob, sidecar)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_table_value(self, value):
+        model = init_tables(("a", "b"), ("r",), k=2, seed=0)
+        blob, sidecar = save_checkpoint(model)
+        # the last float of the blob is rel_im's last entry
+        tampered = blob[:-8] + struct.pack("<d", value)
+        with pytest.raises(CheckpointError, match="rel_im contains non-finite"):
+            load_checkpoint(tampered, sidecar)
+
+    def test_non_finite_calibration(self):
+        model = init_tables(("a", "b"), ("r",), k=2, seed=0)
+        blob, sidecar = save_checkpoint(model)
+        a_offset = len(CHECKPOINT_MAGIC) + 4 * 4
+        tampered = blob[:a_offset] + struct.pack("<d", float("nan")) + blob[a_offset + 8 :]
+        with pytest.raises(CheckpointError, match="calibration"):
+            load_checkpoint(tampered, sidecar)
 
     def test_magic_constant(self):
         model = init_tables(("a",), ("r",), k=1, seed=0)

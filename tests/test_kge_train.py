@@ -445,7 +445,7 @@ def make_split(corpus_seed=1, n_docs=3, validation=True):
     kg = build_linked_kg(docs)
     triples = tuple(kg.sorted_triples())
     val = triples[:: max(len(triples) // 12, 1)][:12] if validation else ()
-    return TripleSplit(kg=kg, train=triples, validation=tuple(val), test=())
+    return TripleSplit(kg=kg, train=triples, validation=tuple(val))
 
 
 class TestTrainLoop:
@@ -591,7 +591,7 @@ class TestTrainLoop:
 
     def test_empty_training_set_rejected(self):
         split = make_split()
-        empty = TripleSplit(kg=split.kg, train=(), validation=(), test=())
+        empty = TripleSplit(kg=split.kg, train=(), validation=())
         with pytest.raises(ValueError, match="no training"):
             train(empty, TrainingConfig(k=2, max_epochs=1))
 
