@@ -391,7 +391,9 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
     kg = KnowledgeGraph(triples=frozenset(triples))
     # ONTOLOGY.check's verdict depends only on the relation and the two
     # entity kinds, so one triple per signature stands for all of them.
-    kinds = {e: entity_kind(e) for e in kg.entities}
+    # The signature keys on each kind's string, which hashes in C, where
+    # an EntityKind member would hash through Enum.__hash__.
+    kinds = {e: entity_kind(e)._value_ for e in kg.entities}
     by_signature = {(t.relation, kinds[t.subject], kinds[t.object]): t for t in kg.triples}
     for t in by_signature.values():
         problem = ONTOLOGY.check(t)

@@ -1,12 +1,19 @@
 """Score-to-probability calibration: Platt fit and the clamped sigmoid map."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
+from scipy.special import expit
 
+from occlukg import harness
 from occlukg.kg import Triple
 from occlukg.kge.calibrate import (
     PROBABILITY_FLOOR,
@@ -16,8 +23,11 @@ from occlukg.kge.calibrate import (
     triple_probability,
 )
 from occlukg.kge.model import ComplexModel, score_triple
+from occlukg.synth import default_config, generate_corpus
 
 from conftest import model_with_scores
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def sigmoid(z):
@@ -201,3 +211,134 @@ class TestResultType:
         r = CalibrationResult(2.0, -1.0)
         assert not r.warning
         assert r.message == ""
+
+
+def _bce_and_gradient(a, b, pos, neg):
+    """Mean BCE of sigma(a*s + b) and its partials (dF/da, dF/db)."""
+    scores = np.concatenate((np.asarray(pos, float), np.asarray(neg, float)))
+    labels = np.concatenate((np.ones(len(pos)), np.zeros(len(neg))))
+    z = a * scores + b
+    loss = np.mean(labels * np.logaddexp(0.0, -z) + (1 - labels) * np.logaddexp(0.0, z))
+    residual = (expit(z) - labels) / scores.size
+    return float(loss), float(residual @ scores), float(residual.sum())
+
+
+def _lbfgs_reference_bce(pos, neg):
+    """BCE reached by the bounded L-BFGS-B call that fit_platt used to make."""
+
+    def objective(x):
+        loss, da, db = _bce_and_gradient(x[0], x[1], pos, neg)
+        return loss, np.array([da, db])
+
+    res = minimize(
+        objective, x0=np.array([1.0, 0.0]), jac=True, method="L-BFGS-B",
+        bounds=[(PROBABILITY_FLOOR, None), (None, None)],
+        options={"maxiter": 200, "ftol": 1e-8},
+    )
+    return objective(res.x)[0]
+
+
+def assert_optimal(pos, neg, result):
+    """First-order conditions of the bounded fit, and a BCE no worse than L-BFGS-B's.
+
+    At the optimum two fits differ only in rounding, so the BCE may read
+    a few units in the last place above the reference's.
+    """
+    loss, da, db = _bce_and_gradient(result.a, result.b, pos, neg)
+    assert abs(db) <= 1e-9
+    assert abs(da) <= 1e-9 or (result.a == PROBABILITY_FLOOR and da >= 0)
+    reference = _lbfgs_reference_bce(pos, neg)
+    assert loss <= reference + 4 * np.spacing(reference)
+
+
+def _fixture_score_sets():
+    rng = np.random.default_rng(0)
+    separated = (10.0 + rng.normal(0, 0.5, size=50), -10.0 + rng.normal(0, 0.5, size=50))
+    shared = np.random.default_rng(1).normal(0, 1, size=200)
+    rng = np.random.default_rng(2)
+    scores = rng.uniform(-4, 4, size=4000)
+    labels = rng.uniform(size=4000) < 1.0 / (1.0 + np.exp(-(2.0 * scores - 1.0)))
+    return {
+        "well_separated": separated,
+        "identical_distributions": (shared, np.concatenate((shared, shared, shared))),
+        "inverted": ([-5.0, -4.0], [4.0, 5.0]),
+        "known_sigmoid": (scores[labels], scores[~labels]),
+        "small": ([1.0, 2.0, 3.0], [-1.0, -2.0]),
+        "planted_model": ([3.0, 2.0], [-1.0, -2.5]),
+    }
+
+
+@pytest.fixture(scope="module")
+def seed0_calibration_scores():
+    """The positive and negative scores the harness calibrates on at corpus
+    seed 0, under the headline spec with a short training run."""
+    captured = []
+
+    def capture(model, positives, negatives):
+        captured.append((
+            [score_triple(model, *t) for t in sorted(set(positives))],
+            [score_triple(model, *t) for t in sorted(set(negatives))],
+        ))
+        return calibrate(model, positives, negatives)
+
+    corpus = generate_corpus(default_config(), seed=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "calibrate", capture)
+        harness.run_experiment(corpus, harness.headline_spec(epochs=20))
+    (scores,) = captured
+    return scores
+
+
+class TestNewtonFitIsOptimal:
+    @pytest.mark.parametrize("name", sorted(_fixture_score_sets()))
+    def test_fixture_sets(self, name):
+        pos, neg = _fixture_score_sets()[name]
+        result = fit_platt(pos, neg)
+        assert not result.warning
+        assert type(result.a) is float and type(result.b) is float
+        assert_optimal(pos, neg, result)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=20),
+        st.lists(st.floats(min_value=-20, max_value=20), min_size=2, max_size=20),
+    )
+    def test_drawn_sets(self, pos, neg):
+        result = fit_platt(pos, neg)
+        if result.warning:
+            assert np.ptp(pos + neg) == 0.0
+            return
+        assert_optimal(pos, neg, result)
+
+    def test_seed0_harness_calibration_set(self, seed0_calibration_scores):
+        pos, neg = seed0_calibration_scores
+        assert len(pos) > 10 and len(neg) > 10
+        result = fit_platt(pos, neg)
+        assert not result.warning
+        assert result.a > PROBABILITY_FLOOR
+        assert_optimal(pos, neg, result)
+
+    def test_anti_correlated_set_ends_on_the_floor_at_the_base_rate(self):
+        pos, neg = [-5.0, -4.0], [4.0, 5.0]
+        result = fit_platt(pos, neg)
+        assert result.a == PROBABILITY_FLOOR
+        mapped = [sigmoid(result.a * s + result.b) for s in pos + neg]
+        assert np.mean(mapped) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    code = (
+        "import sys\n"
+        "import occlukg, occlukg.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
