@@ -1,9 +1,10 @@
 """Measure a change against its parent with the benchmark and write a BENCH_*.json file.
 
-    python scripts/bench.py --parent <rev> --out BENCH_<n>.json
+    python scripts/bench.py --parent <rev> --out BENCH_<n>.json [--workload NAME ...]
 
-For each workload of ``BENCHMARK.json`` it runs ``perfbench/run.py
---trace 0`` at the workload's held-out seed, for the benchmark's
+For each workload of ``BENCHMARK.json``, or only those named by the
+repeatable ``--workload`` (to rerun one while iterating), it runs
+``perfbench/run.py --trace 0`` at the workload's held-out seed, for the benchmark's
 ``run_seconds``, in ``PAIRS`` pairs: one run on the parent and one on the
 change per pair, alternating which side goes first.  Both sides run from
 snapshots exported with ``git archive`` into a temporary directory: the
@@ -22,8 +23,8 @@ quartile spread.  ``within_bound`` holds when the change's median is no
 worse than the parent's by more than the metric's bound; it is not
 ``resolved`` when the parent's quartile spread is wider than that bound,
 unless every run of the change reads better than every run of the
-parent.  It also records failed operations, the revisions, seeds,
-package versions and core count.
+parent.  It also records the workloads it covers, failed operations,
+the revisions, seeds, package versions and core count.
 """
 
 from __future__ import annotations
@@ -136,12 +137,23 @@ def compare(metric: dict, runs: list[dict]) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    benchmark = load_benchmark()
+def parse_args(argv, benchmark: dict) -> argparse.Namespace:
+    """The options; ``workload`` lists the workloads to run, in ``BENCHMARK.json`` order."""
+    names = [w["name"] for w in benchmark["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workload", action="append", choices=names, metavar="NAME",
+                        help="run only this workload; repeatable (default: all of "
+                             f"{', '.join(names)})")
     args = parser.parse_args(argv)
+    args.workload = [name for name in names if name in (args.workload or names)]
+    return args
+
+
+def main(argv=None) -> int:
+    benchmark = load_benchmark()
+    args = parse_args(argv, benchmark)
 
     held_out = held_out_seeds()
     seconds = benchmark["run_seconds"]
@@ -154,6 +166,7 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload <w> --seed <s> --seconds "
                    f"{seconds:g} --trace 0",
         "revisions": revisions,
+        "workloads": args.workload,
         "pairs": PAIRS,
         "machine": {
             "nproc": os.cpu_count(),
@@ -167,7 +180,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="occlukg-bench-") as tmp:
         checkouts = {side: export(revisions[side], Path(tmp) / side) for side in SIDES}
-        for workload in (w["name"] for w in benchmark["workloads"]):
+        for workload in args.workload:
             seed = held_out[workload]
             runs = []
             for pair in range(PAIRS):

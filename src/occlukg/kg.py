@@ -364,29 +364,29 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
         ctx = doc.context
         if ctx.zebra_crossing:
             triples.add(Triple(s_ent, "thereIs", ZEBRA_ENTITY))
-        triples.add(Triple(s_ent, "hasSurroundings", ctx.surroundings.value))
+        triples.add(Triple(s_ent, "hasSurroundings", ctx.surroundings._value_))
         triples.add(Triple(s_ent, "hasLanes", lane_entity(ctx.lanes)))
 
         prev_f_ent = None
         for frame in doc.frames:
             f_ent = frame_entity(sid, frame.frame_number)
             triples.add(Triple(s_ent, "includes", f_ent))
-            triples.add(Triple(f_ent, "contains", frame.pedestrians_scene.value))
+            triples.add(Triple(f_ent, "contains", frame.pedestrians_scene._value_))
             if prev_f_ent is not None:
                 triples.add(Triple(prev_f_ent, "nextFrame", f_ent))
                 triples.add(Triple(f_ent, "prevFrame", prev_f_ent))
             prev_f_ent = f_ent
             for p in frame.pedestrians:
                 p_ent = f"ped:{sid}:{p.pedestrian_id}"
-                triples.add(Triple(p_ent, "hasOcclusionLevel", p.occlusion.value))
+                triples.add(Triple(p_ent, "hasOcclusionLevel", p.occlusion._value_))
             for v in frame.vehicles:
                 v_ent = f"veh:{sid}:{frame.frame_number}:{v.vehicle_id}"
                 state_ent = VEHICLE_STATE_ENTITY[v.state]
                 triples.add(Triple(f_ent, "includes", state_ent))
                 triples.add(Triple(v_ent, "hasState", state_ent))
-                triples.add(Triple(v_ent, "hasBrakingLights", v.braking_lights.value))
-                triples.add(Triple(v_ent, "hasDistance", v.distance.value))
-                triples.add(Triple(v_ent, "hasPosition", v.position.value))
+                triples.add(Triple(v_ent, "hasBrakingLights", v.braking_lights._value_))
+                triples.add(Triple(v_ent, "hasDistance", v.distance._value_))
+                triples.add(Triple(v_ent, "hasPosition", v.position._value_))
 
     kg = KnowledgeGraph(triples=frozenset(triples))
     # ONTOLOGY.check's verdict depends only on the relation and the two
@@ -415,7 +415,7 @@ def class_level_triples(corpus: Sequence[RoadSceneDocument]) -> set[Triple]:
         for frame in doc.frames:
             label = frame.pedestrians_scene
             seen = pairs.setdefault(label, set())
-            seen.add(("contains", label.value))
+            seen.add(("contains", label._value_))
             seen.update((rel, obj) for rel, obj, _ in frame_evidence_pairs(doc, frame))
     out: set[Triple] = set()
     for label, label_pairs in pairs.items():
@@ -439,7 +439,7 @@ def link_prototypes(
             f_ent = frame_entity(doc.scene_id, frame.frame_number)
             if f_ent not in kg.entity_index:
                 raise KgBuildError(f"frame entity {f_ent!r} missing from graph")
-            label_triple = Triple(f_ent, "contains", frame.pedestrians_scene.value)
+            label_triple = Triple(f_ent, "contains", frame.pedestrians_scene._value_)
             if label_triple not in kg.triples:
                 raise KgBuildError(
                     f"frame {f_ent!r} lacks its pedestrians_scene triple"

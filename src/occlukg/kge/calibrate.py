@@ -35,12 +35,21 @@ class CalibrationResult:
     message: str = ""
 
 
+def _residuals(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """sigma(z) - label, the BCE's derivative in z.
+
+    A positive's is taken as -sigma(-z): sigma(z) - 1 rounds to exactly 0
+    once z passes about 37, while the positive's loss term does not.
+    """
+    return np.where(labels == 1.0, -expit(-z), expit(z))
+
+
 def _bce_and_grad(x: np.ndarray, scores: np.ndarray, labels: np.ndarray):
     a, b = x
     z = a * scores + b
     # mean of -log sigma(z) for positives, -log sigma(-z) for negatives
     loss = float(np.mean(np.logaddexp(0.0, -z) * labels + np.logaddexp(0.0, z) * (1 - labels)))
-    dz = (expit(z) - labels) / scores.shape[0]
+    dz = _residuals(z, labels) / scores.shape[0]
     return loss, np.array([np.dot(dz, scores), np.sum(dz)])
 
 
@@ -73,7 +82,7 @@ def _newton_step(
     z = a * scores + b
     p = expit(z)
     weights = p * expit(-z) + damping
-    residuals = p - labels
+    residuals = _residuals(z, labels)
     shift = scores[np.argmax(weights)]
     scale = np.max(np.abs(scores - shift))
     u = (scores - shift) / scale

@@ -9,6 +9,12 @@ The XML format is strict: one ``<roadScene>`` root with a single
 ``<context>`` child followed by one or more ``<frame>`` elements.
 Unknown elements or attributes are rejected, never ignored, and all
 enum value spellings are case-sensitive.
+
+ElementTree builds the tree; each element's attributes are then read in
+one pass. An enum attribute resolves through a value-to-member table
+built once from its enum, so parsing calls no enum class, and a
+missing or unknown value falls through to a check that raises the
+error naming it. The records are frozen, slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ class SceneValidationError(ValueError):
     """Raised when XML is well-formed but violates the annotation schema."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SceneContext:
     """Scene-level labels, annotated once per road scene."""
 
@@ -99,7 +105,7 @@ class SceneContext:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PedestrianRecord:
     pedestrian_id: str
     occlusion: OcclusionLevel
@@ -111,7 +117,7 @@ class PedestrianRecord:
             raise ValueError(f"visible_fraction must be in [0, 1], got {vf}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleRecord:
     vehicle_id: str
     state: VehicleState
@@ -120,7 +126,7 @@ class VehicleRecord:
     position: VehiclePosition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameAnnotation:
     frame_number: int
     pedestrians_scene: SceneLabel
@@ -136,7 +142,7 @@ class FrameAnnotation:
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoadSceneDocument:
     context: SceneContext
     frames: tuple[FrameAnnotation, ...]
@@ -197,19 +203,43 @@ _FRAME_ATTRS = {"number", "pedestriansScene"}
 _PEDESTRIAN_ATTRS = {"id", "occlusion", "visibleFraction"}
 _VEHICLE_ATTRS = {"id", "state", "brakingLights", "distance", "position"}
 
+# Value -> member of each enum the format carries, built once from the
+# enum itself, so an attribute resolves by one dict lookup rather than a
+# call of the enum class.
+_MEMBERS = {
+    enum_cls: {member._value_: member for member in enum_cls}
+    for enum_cls in (
+        Environment, Surroundings, SceneLabel, OcclusionLevel,
+        VehicleState, BrakingLights, DistanceBucket, VehiclePosition,
+    )
+}
+_ENVIRONMENTS = _MEMBERS[Environment]
+_SURROUNDINGS = _MEMBERS[Surroundings]
+_SCENE_LABELS = _MEMBERS[SceneLabel]
+_OCCLUSIONS = _MEMBERS[OcclusionLevel]
+_STATES = _MEMBERS[VehicleState]
+_LIGHTS = _MEMBERS[BrakingLights]
+_DISTANCES = _MEMBERS[DistanceBucket]
+_POSITIONS = _MEMBERS[VehiclePosition]
+
+# The element parsers below read each attribute with one lookup inline,
+# ``table.get(attrib.get(name)) or _enum_attr(...)``: every member is a
+# non-empty string, so only a missing or unknown value falls through to
+# the check, which raises. The checks run in the order the lookups do,
+# so the first defect in that order is the one reported.
+
 
 def _enum_attr(elem: ET.Element, name: str, enum_cls, elem_name: str):
     raw = elem.get(name)
     if raw is None:
         raise SceneValidationError(f"<{elem_name}> missing required attribute {name!r}")
-    try:
-        return enum_cls(raw)
-    except ValueError:
-        allowed = ", ".join(m.value for m in enum_cls)
+    members = _MEMBERS[enum_cls]
+    if raw not in members:
         raise SceneValidationError(
             f"<{elem_name}> attribute {name!r} has unknown value {raw!r} "
-            f"(allowed: {allowed})"
-        ) from None
+            f"(allowed: {', '.join(members)})"
+        )
+    return members[raw]
 
 
 def _required_attr(elem: ET.Element, name: str, elem_name: str) -> str:
@@ -232,6 +262,11 @@ def _check_no_text(elem: ET.Element, elem_name: str) -> None:
         raise SceneValidationError(f"<{elem_name}> must not contain text content")
 
 
+def _check_no_children(elem: ET.Element, elem_name: str) -> None:
+    for child in elem:
+        raise SceneValidationError(f"<{elem_name}> must not contain <{child.tag}>")
+
+
 def _parse_bool(raw: str, name: str, elem_name: str) -> bool:
     if raw == "true":
         return True
@@ -252,11 +287,14 @@ def _parse_int(raw: str, name: str, elem_name: str) -> int:
 
 
 def _parse_pedestrian(elem: ET.Element) -> PedestrianRecord:
-    _check_attrs(elem, _PEDESTRIAN_ATTRS, "pedestrian")
-    _check_no_text(elem, "pedestrian")
-    for child in elem:
-        raise SceneValidationError(f"<pedestrian> must not contain <{child.tag}>")
-    vf_raw = elem.get("visibleFraction")
+    attrib = elem.attrib
+    if not attrib.keys() <= _PEDESTRIAN_ATTRS:
+        _check_attrs(elem, _PEDESTRIAN_ATTRS, "pedestrian")
+    if elem.text:
+        _check_no_text(elem, "pedestrian")
+    if len(elem):
+        _check_no_children(elem, "pedestrian")
+    vf_raw = attrib.get("visibleFraction")
     vf = None
     if vf_raw is not None:
         try:
@@ -267,32 +305,45 @@ def _parse_pedestrian(elem: ET.Element) -> PedestrianRecord:
             ) from None
     try:
         return PedestrianRecord(
-            pedestrian_id=_required_attr(elem, "id", "pedestrian"),
-            occlusion=_enum_attr(elem, "occlusion", OcclusionLevel, "pedestrian"),
-            visible_fraction=vf,
+            attrib.get("id") or _required_attr(elem, "id", "pedestrian"),
+            _OCCLUSIONS.get(attrib.get("occlusion"))
+            or _enum_attr(elem, "occlusion", OcclusionLevel, "pedestrian"),
+            vf,
         )
     except ValueError as exc:
         raise SceneValidationError(f"<pedestrian>: {exc}") from None
 
 
 def _parse_vehicle(elem: ET.Element) -> VehicleRecord:
-    _check_attrs(elem, _VEHICLE_ATTRS, "vehicle")
-    _check_no_text(elem, "vehicle")
-    for child in elem:
-        raise SceneValidationError(f"<vehicle> must not contain <{child.tag}>")
+    attrib = elem.attrib
+    if not attrib.keys() <= _VEHICLE_ATTRS:
+        _check_attrs(elem, _VEHICLE_ATTRS, "vehicle")
+    if elem.text:
+        _check_no_text(elem, "vehicle")
+    if len(elem):
+        _check_no_children(elem, "vehicle")
+    get = attrib.get
     return VehicleRecord(
-        vehicle_id=_required_attr(elem, "id", "vehicle"),
-        state=_enum_attr(elem, "state", VehicleState, "vehicle"),
-        braking_lights=_enum_attr(elem, "brakingLights", BrakingLights, "vehicle"),
-        distance=_enum_attr(elem, "distance", DistanceBucket, "vehicle"),
-        position=_enum_attr(elem, "position", VehiclePosition, "vehicle"),
+        get("id") or _required_attr(elem, "id", "vehicle"),
+        _STATES.get(get("state")) or _enum_attr(elem, "state", VehicleState, "vehicle"),
+        _LIGHTS.get(get("brakingLights"))
+        or _enum_attr(elem, "brakingLights", BrakingLights, "vehicle"),
+        _DISTANCES.get(get("distance"))
+        or _enum_attr(elem, "distance", DistanceBucket, "vehicle"),
+        _POSITIONS.get(get("position"))
+        or _enum_attr(elem, "position", VehiclePosition, "vehicle"),
     )
 
 
 def _parse_frame(elem: ET.Element) -> FrameAnnotation:
-    _check_attrs(elem, _FRAME_ATTRS, "frame")
-    _check_no_text(elem, "frame")
-    number = _parse_int(_required_attr(elem, "number", "frame"), "number", "frame")
+    attrib = elem.attrib
+    if not attrib.keys() <= _FRAME_ATTRS:
+        _check_attrs(elem, _FRAME_ATTRS, "frame")
+    if elem.text:
+        _check_no_text(elem, "frame")
+    number = _parse_int(
+        attrib.get("number") or _required_attr(elem, "number", "frame"), "number", "frame"
+    )
     if number < 0:
         raise SceneValidationError(f"<frame> number must be >= 0, got {number}")
     pedestrians = []
@@ -300,17 +351,19 @@ def _parse_frame(elem: ET.Element) -> FrameAnnotation:
     for child in elem:
         if (tail := child.tail) and tail.strip():
             raise SceneValidationError("<frame> must not contain text content")
-        if child.tag == "pedestrian":
-            pedestrians.append(_parse_pedestrian(child))
-        elif child.tag == "vehicle":
+        tag = child.tag
+        if tag == "vehicle":
             vehicles.append(_parse_vehicle(child))
+        elif tag == "pedestrian":
+            pedestrians.append(_parse_pedestrian(child))
         else:
-            raise SceneValidationError(f"<frame> contains unknown element <{child.tag}>")
+            raise SceneValidationError(f"<frame> contains unknown element <{tag}>")
     return FrameAnnotation(
-        frame_number=number,
-        pedestrians_scene=_enum_attr(elem, "pedestriansScene", SceneLabel, "frame"),
-        pedestrians=tuple(pedestrians),
-        vehicles=tuple(vehicles),
+        number,
+        _SCENE_LABELS.get(attrib.get("pedestriansScene"))
+        or _enum_attr(elem, "pedestriansScene", SceneLabel, "frame"),
+        tuple(pedestrians),
+        tuple(vehicles),
     )
 
 
@@ -330,8 +383,11 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
 
     if root.tag != "roadScene":
         raise SceneValidationError(f"root element must be <roadScene>, got <{root.tag}>")
-    _check_attrs(root, _ROOT_ATTRS, "roadScene")
-    _check_no_text(root, "roadScene")
+    root_attrib = root.attrib
+    if not root_attrib.keys() <= _ROOT_ATTRS:
+        _check_attrs(root, _ROOT_ATTRS, "roadScene")
+    if root.text:
+        _check_no_text(root, "roadScene")
 
     context_elem = None
     frame_elems = []
@@ -353,23 +409,31 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
     if not frame_elems:
         raise SceneValidationError("<roadScene> must contain at least one <frame>")
 
-    _check_attrs(context_elem, _CONTEXT_ATTRS, "context")
-    _check_no_text(context_elem, "context")
-    for child in context_elem:
-        raise SceneValidationError(f"<context> must not contain <{child.tag}>")
+    attrib = context_elem.attrib
+    if not attrib.keys() <= _CONTEXT_ATTRS:
+        _check_attrs(context_elem, _CONTEXT_ATTRS, "context")
+    if context_elem.text:
+        _check_no_text(context_elem, "context")
+    if len(context_elem):
+        _check_no_children(context_elem, "context")
 
-    lanes = _parse_int(_required_attr(context_elem, "lanes", "context"), "lanes", "context")
+    lanes = _parse_int(
+        attrib.get("lanes") or _required_attr(context_elem, "lanes", "context"), "lanes", "context"
+    )
     try:
         context = SceneContext(
-            scene_id=_required_attr(root, "id", "roadScene"),
-            environment=_enum_attr(root, "environment", Environment, "roadScene"),
+            scene_id=root_attrib.get("id") or _required_attr(root, "id", "roadScene"),
+            environment=_ENVIRONMENTS.get(root_attrib.get("environment"))
+            or _enum_attr(root, "environment", Environment, "roadScene"),
             zebra_crossing=_parse_bool(
-                _required_attr(context_elem, "zebraCrossing", "context"),
+                attrib.get("zebraCrossing")
+                or _required_attr(context_elem, "zebraCrossing", "context"),
                 "zebraCrossing",
                 "context",
             ),
             lanes=lanes,
-            surroundings=_enum_attr(context_elem, "surroundings", Surroundings, "context"),
+            surroundings=_SURROUNDINGS.get(attrib.get("surroundings"))
+            or _enum_attr(context_elem, "surroundings", Surroundings, "context"),
         )
     except ValueError as exc:
         if isinstance(exc, SceneValidationError):

@@ -1,6 +1,7 @@
 """Verdicts of scripts/bench.py on hand-made parent/change runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -85,3 +86,49 @@ def test_change_snapshot_holds_the_working_tree_and_leaves_the_index(tmp_path, m
     assert not (out / "ignored.txt").exists()
     assert bench.git("diff", "--cached", "--name-only").stdout == b""
     assert bench.git("status", "--porcelain").stdout.decode().count("??") == 1
+
+
+BENCHMARK = {"workloads": [{"name": "headline"}, {"name": "predict"}, {"name": "ingest"}]}
+
+
+def test_every_workload_by_default():
+    args = bench.parse_args(["--parent", "HEAD", "--out", "b.json"], BENCHMARK)
+    assert args.workload == ["headline", "predict", "ingest"]
+
+
+def test_workload_flag_repeats_and_keeps_the_benchmark_order():
+    argv = ["--parent", "HEAD", "--out", "b.json", "--workload", "ingest", "--workload",
+            "headline", "--workload", "ingest"]
+    assert bench.parse_args(argv, BENCHMARK).workload == ["headline", "ingest"]
+
+
+def test_unknown_workload_exits_non_zero_naming_the_valid_ones(capsys):
+    with pytest.raises(SystemExit) as info:
+        bench.parse_args(["--parent", "HEAD", "--out", "b.json", "--workload", "train"],
+                         BENCHMARK)
+    assert info.value.code != 0
+    err = capsys.readouterr().err
+    assert "'train'" in err
+    assert all(f"'{name}'" in err for name in ("headline", "predict", "ingest"))
+
+
+def test_record_names_the_workloads_it_covers(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        ran.append((checkout.name, workload))
+        return {"metrics": {m["name"]: 1.0 for m in bench.load_benchmark()["end_to_end"]},
+                "attempted": 1, "failed": 0}
+
+    monkeypatch.setattr(bench, "resolve", lambda rev: rev)
+    monkeypatch.setattr(bench, "snapshot", lambda: "tree")
+    monkeypatch.setattr(bench, "export", lambda tree, into: into)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "p", "--out", str(out), "--workload", "ingest"]) == 0
+
+    record = json.loads(out.read_text())
+    assert record["workloads"] == ["ingest"]
+    assert [r["workload"] for r in record["results"]] == ["ingest"]
+    assert {workload for _, workload in ran} == {"ingest"}
+    assert len(ran) == 2 * bench.PAIRS

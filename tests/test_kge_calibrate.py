@@ -93,6 +93,16 @@ class TestFitPlatt:
         b = fit_platt(pos, neg)
         assert (a.a, a.b) == (b.a, b.b)
 
+    def test_separable_boundary_lies_between_the_classes(self):
+        # a positive far past the boundary keeps its residual -sigma(-z),
+        # so the positives pull on the boundary -b/a as the negatives do
+        result = fit_platt([1.0, 2.0, 3.0], [-1.0, -2.0])
+        assert abs(-result.b / result.a) < 0.01
+
+    def test_mirrored_separable_boundary_at_zero(self):
+        result = fit_platt([1.0, 2.0, 3.0], [-1.0, -2.0, -3.0])
+        assert abs(-result.b / result.a) < 1e-12
+
 
 @pytest.fixture
 def planted_model():

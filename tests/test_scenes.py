@@ -1,5 +1,7 @@
 """Scene documents: XML round-trips, schema rejection, labeling rules."""
 
+import dataclasses
+import enum
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -160,6 +162,510 @@ class TestParse:
         xml = MINIMAL_XML.replace(b'environment="Real"', b'environment="real"')
         with pytest.raises(SceneValidationError):
             parse_scene_xml(xml)
+
+
+# Every element with every attribute, each spelled once, so that one
+# byte replacement makes one defect.
+CONTRACT_XML = b"""<roadScene id="s" environment="Virtual">
+  <context zebraCrossing="true" lanes="3" surroundings="Vegetation"/>
+  <frame number="0" pedestriansScene="PedestrianOccluded">
+    <pedestrian id="p0" occlusion="Full" visibleFraction="0.1"/>
+    <vehicle id="v0" state="Decelerating" brakingLights="On" distance="NearToEgoVeh" position="FrontLeft"/>
+  </frame>
+</roadScene>"""
+
+_TEXT = "must not contain text content"
+_CONTRACT_CASES = {
+    # <roadScene>
+    "roadScene-unknown-attribute": (
+        [(b'<roadScene id="s"', b'<roadScene speed="3" id="s"')],
+        "<roadScene> has unknown attribute(s): speed",
+    ),
+    "roadScene-missing-id": (
+        [(b' id="s"', b"")],
+        "<roadScene> missing required attribute 'id'",
+    ),
+    "roadScene-missing-environment": (
+        [(b' environment="Virtual"', b"")],
+        "<roadScene> missing required attribute 'environment'",
+    ),
+    "roadScene-unknown-value": (
+        [(b'"Virtual"', b'"virtual"')],
+        "<roadScene> attribute 'environment' has unknown value 'virtual' (allowed: Real, Virtual)",
+    ),
+    "roadScene-child": (
+        [(b"</roadScene>", b"<extra/></roadScene>")],
+        "<roadScene> contains unknown element <extra>",
+    ),
+    "roadScene-text": (
+        [(b'environment="Virtual">', b'environment="Virtual">lead')],
+        f"<roadScene> {_TEXT}",
+    ),
+    "roadScene-trailing-text": (
+        [(b"</roadScene>", b"</roadScene>junk")],
+        "malformed XML at line 7, column 12: junk after document element: line 7, column 12",
+    ),
+    # <context>
+    "context-unknown-attribute": (
+        [(b"<context zebraCrossing", b'<context speed="3" zebraCrossing')],
+        "<context> has unknown attribute(s): speed",
+    ),
+    "context-unknown-attributes-sorted": (
+        [(b"<context zebraCrossing", b'<context zz="1" aa="2" zebraCrossing')],
+        "<context> has unknown attribute(s): aa, zz",
+    ),
+    "context-missing-zebraCrossing": (
+        [(b' zebraCrossing="true"', b"")],
+        "<context> missing required attribute 'zebraCrossing'",
+    ),
+    "context-missing-lanes": (
+        [(b' lanes="3"', b"")],
+        "<context> missing required attribute 'lanes'",
+    ),
+    "context-missing-surroundings": (
+        [(b' surroundings="Vegetation"', b"")],
+        "<context> missing required attribute 'surroundings'",
+    ),
+    "context-unknown-value": (
+        [(b'"Vegetation"', b'"Trees"')],
+        "<context> attribute 'surroundings' has unknown value 'Trees' "
+        "(allowed: Vegetation, Clear)",
+    ),
+    "context-child": (
+        [(b'"Vegetation"/>', b'"Vegetation"><x/></context>')],
+        "<context> must not contain <x>",
+    ),
+    "context-text": (
+        [(b'"Vegetation"/>', b'"Vegetation">junk</context>')],
+        f"<context> {_TEXT}",
+    ),
+    "context-trailing-text": (
+        [(b'"Vegetation"/>', b'"Vegetation"/>junk')],
+        f"<roadScene> {_TEXT}",
+    ),
+    # <frame>
+    "frame-unknown-attribute": (
+        [(b"<frame number", b'<frame speed="3" number')],
+        "<frame> has unknown attribute(s): speed",
+    ),
+    "frame-missing-number": (
+        [(b' number="0"', b"")],
+        "<frame> missing required attribute 'number'",
+    ),
+    "frame-missing-pedestriansScene": (
+        [(b' pedestriansScene="PedestrianOccluded"', b"")],
+        "<frame> missing required attribute 'pedestriansScene'",
+    ),
+    "frame-unknown-value": (
+        [(b'"PedestrianOccluded"', b'"Nobody"')],
+        "<frame> attribute 'pedestriansScene' has unknown value 'Nobody' "
+        "(allowed: NonePedestrian, PedestrianOccluded, PedestrianNotOccluded)",
+    ),
+    "frame-child": (
+        [(b"</frame>", b"<extra/></frame>")],
+        "<frame> contains unknown element <extra>",
+    ),
+    "frame-text": (
+        [(b'"PedestrianOccluded">', b'"PedestrianOccluded">lead')],
+        f"<frame> {_TEXT}",
+    ),
+    "frame-trailing-text": (
+        [(b"</frame>", b"</frame>stray")],
+        f"<roadScene> {_TEXT}",
+    ),
+    # <pedestrian>
+    "pedestrian-unknown-attribute": (
+        [(b"<pedestrian id", b'<pedestrian speed="3" id')],
+        "<pedestrian> has unknown attribute(s): speed",
+    ),
+    "pedestrian-missing-id": (
+        [(b' id="p0"', b"")],
+        "<pedestrian>: <pedestrian> missing required attribute 'id'",
+    ),
+    "pedestrian-missing-occlusion": (
+        [(b' occlusion="Full"', b"")],
+        "<pedestrian>: <pedestrian> missing required attribute 'occlusion'",
+    ),
+    "pedestrian-unknown-value": (
+        [(b'"Full"', b'"full"')],
+        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "(allowed: None, Partial, Full)",
+    ),
+    "pedestrian-child": (
+        [(b'"0.1"/>', b'"0.1"><x/></pedestrian>')],
+        "<pedestrian> must not contain <x>",
+    ),
+    "pedestrian-text": (
+        [(b'"0.1"/>', b'"0.1">junk</pedestrian>')],
+        f"<pedestrian> {_TEXT}",
+    ),
+    "pedestrian-trailing-text": (
+        [(b'"0.1"/>', b'"0.1"/>junk')],
+        f"<frame> {_TEXT}",
+    ),
+    # <vehicle>
+    "vehicle-unknown-attribute": (
+        [(b"<vehicle id", b'<vehicle speed="3" id')],
+        "<vehicle> has unknown attribute(s): speed",
+    ),
+    "vehicle-missing-id": (
+        [(b' id="v0"', b"")],
+        "<vehicle> missing required attribute 'id'",
+    ),
+    "vehicle-missing-state": (
+        [(b' state="Decelerating"', b"")],
+        "<vehicle> missing required attribute 'state'",
+    ),
+    "vehicle-missing-brakingLights": (
+        [(b' brakingLights="On"', b"")],
+        "<vehicle> missing required attribute 'brakingLights'",
+    ),
+    "vehicle-missing-distance": (
+        [(b' distance="NearToEgoVeh"', b"")],
+        "<vehicle> missing required attribute 'distance'",
+    ),
+    "vehicle-missing-position": (
+        [(b' position="FrontLeft"', b"")],
+        "<vehicle> missing required attribute 'position'",
+    ),
+    "vehicle-unknown-state": (
+        [(b'"Decelerating"', b'"Braking"')],
+        "<vehicle> attribute 'state' has unknown value 'Braking' "
+        "(allowed: ContinuousMovement, Stopped, Accelerating, Decelerating)",
+    ),
+    "vehicle-unknown-brakingLights": (
+        [(b'"On"', b'"on"')],
+        "<vehicle> attribute 'brakingLights' has unknown value 'on' (allowed: On, Off)",
+    ),
+    "vehicle-unknown-distance": (
+        [(b'"NearToEgoVeh"', b'"Near"')],
+        "<vehicle> attribute 'distance' has unknown value 'Near' "
+        "(allowed: NearToEgoVeh, MiddleDisToEgoVeh, FarToEgoVeh)",
+    ),
+    "vehicle-unknown-position": (
+        [(b'"FrontLeft"', b'"Behind"')],
+        "<vehicle> attribute 'position' has unknown value 'Behind' "
+        "(allowed: Front, FrontLeft, FrontRight, Left, Right)",
+    ),
+    "vehicle-child": (
+        [(b'"FrontLeft"/>', b'"FrontLeft"><x/></vehicle>')],
+        "<vehicle> must not contain <x>",
+    ),
+    "vehicle-text": (
+        [(b'"FrontLeft"/>', b'"FrontLeft">junk</vehicle>')],
+        f"<vehicle> {_TEXT}",
+    ),
+    "vehicle-trailing-text": (
+        [(b'"FrontLeft"/>', b'"FrontLeft"/>junk')],
+        f"<frame> {_TEXT}",
+    ),
+    # values that are not enum members
+    "number-not-an-integer": (
+        [(b'number="0"', b'number="x"')],
+        "<frame> attribute 'number' must be an integer, got 'x'",
+    ),
+    "number-decimal": (
+        [(b'number="0"', b'number="1.5"')],
+        "<frame> attribute 'number' must be an integer, got '1.5'",
+    ),
+    "number-negative": (
+        [(b'number="0"', b'number="-1"')],
+        "<frame> number must be >= 0, got -1",
+    ),
+    "lanes-not-an-integer": (
+        [(b'lanes="3"', b'lanes="three"')],
+        "<context> attribute 'lanes' must be an integer, got 'three'",
+    ),
+    "lanes-zero": (
+        [(b'lanes="3"', b'lanes="0"')],
+        "<context>: lanes must be >= 1, got 0",
+    ),
+    "zebraCrossing-not-a-bool": (
+        [(b'zebraCrossing="true"', b'zebraCrossing="True"')],
+        "<context> attribute 'zebraCrossing' must be 'true' or 'false', got 'True'",
+    ),
+    "empty-scene-id": (
+        [(b'id="s"', b'id=""')],
+        "<context>: scene_id must be non-empty",
+    ),
+    "visibleFraction-not-a-number": (
+        [(b'"0.1"', b'"low"')],
+        "<pedestrian> attribute 'visibleFraction' must be a number, got 'low'",
+    ),
+    "visibleFraction-above-one": (
+        [(b'"0.1"', b'"1.5"')],
+        "<pedestrian>: visible_fraction must be in [0, 1], got 1.5",
+    ),
+    "visibleFraction-nan": (
+        [(b'"0.1"', b'"nan"')],
+        "<pedestrian>: visible_fraction must be in [0, 1], got nan",
+    ),
+    # precedence: with two defects, the first in check order is reported
+    "unknown-attribute-before-missing": (
+        [(b' id="v0"', b' colour="red"')],
+        "<vehicle> has unknown attribute(s): colour",
+    ),
+    "unknown-attribute-before-text": (
+        [(b'"FrontLeft"/>', b'"FrontLeft" colour="red">junk</vehicle>')],
+        "<vehicle> has unknown attribute(s): colour",
+    ),
+    "text-before-child": (
+        [(b'"FrontLeft"/>', b'"FrontLeft">junk<x/></vehicle>')],
+        f"<vehicle> {_TEXT}",
+    ),
+    "child-before-missing": (
+        [(b' id="v0"', b""), (b'"FrontLeft"/>', b'"FrontLeft"><x/></vehicle>')],
+        "<vehicle> must not contain <x>",
+    ),
+    "missing-id-before-unknown-state": (
+        [(b' id="v0"', b""), (b'"Decelerating"', b'"Braking"')],
+        "<vehicle> missing required attribute 'id'",
+    ),
+    "state-before-position": (
+        [(b'"Decelerating"', b'"Braking"'), (b'"FrontLeft"', b'"Behind"')],
+        "<vehicle> attribute 'state' has unknown value 'Braking' "
+        "(allowed: ContinuousMovement, Stopped, Accelerating, Decelerating)",
+    ),
+    "brakingLights-before-missing-distance": (
+        [(b'"On"', b'"on"'), (b' distance="NearToEgoVeh"', b"")],
+        "<vehicle> attribute 'brakingLights' has unknown value 'on' (allowed: On, Off)",
+    ),
+    "bad-fraction-before-missing-id": (
+        [(b' id="p0"', b""), (b'"0.1"', b'"low"')],
+        "<pedestrian> attribute 'visibleFraction' must be a number, got 'low'",
+    ),
+    "missing-id-before-fraction-range": (
+        [(b' id="p0"', b""), (b'"0.1"', b'"1.5"')],
+        "<pedestrian>: <pedestrian> missing required attribute 'id'",
+    ),
+    "occlusion-before-fraction-range": (
+        [(b'"Full"', b'"full"'), (b'"0.1"', b'"1.5"')],
+        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "(allowed: None, Partial, Full)",
+    ),
+    "frame-number-before-children": (
+        [(b'number="0"', b'number="x"'), (b'"Decelerating"', b'"Braking"')],
+        "<frame> attribute 'number' must be an integer, got 'x'",
+    ),
+    "frame-children-before-label": (
+        [(b'"PedestrianOccluded"', b'"Nobody"'), (b'"Decelerating"', b'"Braking"')],
+        "<vehicle> attribute 'state' has unknown value 'Braking' "
+        "(allowed: ContinuousMovement, Stopped, Accelerating, Decelerating)",
+    ),
+    "pedestrian-before-vehicle": (
+        [(b'"Full"', b'"full"'), (b'"Decelerating"', b'"Braking"')],
+        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "(allowed: None, Partial, Full)",
+    ),
+    "lanes-before-missing-id": (
+        [(b' id="s"', b""), (b'lanes="3"', b'lanes="three"')],
+        "<context> attribute 'lanes' must be an integer, got 'three'",
+    ),
+    "environment-before-zebraCrossing": (
+        [(b'"Virtual"', b'"virtual"'), (b'zebraCrossing="true"', b'zebraCrossing="yes"')],
+        "<roadScene> attribute 'environment' has unknown value 'virtual' (allowed: Real, Virtual)",
+    ),
+    "surroundings-before-lanes-range": (
+        [(b'"Vegetation"', b'"Trees"'), (b'lanes="3"', b'lanes="0"')],
+        "<context> attribute 'surroundings' has unknown value 'Trees' "
+        "(allowed: Vegetation, Clear)",
+    ),
+    "context-before-frames": (
+        [(b'"Vegetation"', b'"Trees"'), (b'"PedestrianOccluded"', b'"Nobody"')],
+        "<context> attribute 'surroundings' has unknown value 'Trees' "
+        "(allowed: Vegetation, Clear)",
+    ),
+    "structure-before-context": (
+        [(b'"Vegetation"', b'"Trees"'), (b"</roadScene>", b"<extra/></roadScene>")],
+        "<roadScene> contains unknown element <extra>",
+    ),
+    "first-frame-first": (
+        [
+            (b'"PedestrianOccluded"', b'"Nobody"'),
+            (b"</frame>", b'</frame><frame number="1" pedestriansScene="Somebody"/>'),
+        ],
+        "<frame> attribute 'pedestriansScene' has unknown value 'Nobody' "
+        "(allowed: NonePedestrian, PedestrianOccluded, PedestrianNotOccluded)",
+    ),
+}
+
+
+class TestParserContract:
+    """The exact text of each parse error, and which of two defects is reported."""
+
+    def test_contract_document_parses(self):
+        doc = parse_scene_xml(CONTRACT_XML)
+        assert doc.frames[0].vehicles[0].position is VehiclePosition.FRONT_LEFT
+        assert doc.frames[0].pedestrians[0].visible_fraction == 0.1
+
+    @pytest.mark.parametrize("edits, message", _CONTRACT_CASES.values(), ids=_CONTRACT_CASES)
+    def test_error_text(self, edits, message):
+        xml = CONTRACT_XML
+        for original, altered in edits:
+            assert xml.count(original) == 1, original
+            xml = xml.replace(original, altered)
+        error = SceneParseError if message.startswith("malformed XML") else SceneValidationError
+        with pytest.raises(error) as info:
+            parse_scene_xml(xml)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+
+_ENUMS = (
+    Environment, Surroundings, SceneLabel, OcclusionLevel,
+    VehicleState, BrakingLights, DistanceBucket, VehiclePosition,
+)
+
+
+def _document_with_every_member() -> RoadSceneDocument:
+    """Each member of each enum the format carries appears at least once."""
+    vehicles = tuple(
+        VehicleRecord(
+            vehicle_id=f"v{n}",
+            state=list(VehicleState)[n % len(VehicleState)],
+            braking_lights=list(BrakingLights)[n % len(BrakingLights)],
+            distance=list(DistanceBucket)[n % len(DistanceBucket)],
+            position=list(VehiclePosition)[n % len(VehiclePosition)],
+        )
+        for n in range(5)
+    )
+    return RoadSceneDocument(
+        context=SceneContext(
+            scene_id="scene-members", environment=Environment.REAL, zebra_crossing=False,
+            lanes=2, surroundings=Surroundings.CLEAR,
+        ),
+        frames=(
+            FrameAnnotation(0, SceneLabel.NONE_PEDESTRIAN, (), vehicles),
+            FrameAnnotation(1, SceneLabel.PEDESTRIAN_NOT_OCCLUDED, (
+                PedestrianRecord("p0", OcclusionLevel.NONE),
+            )),
+            FrameAnnotation(2, SceneLabel.PEDESTRIAN_OCCLUDED, (
+                PedestrianRecord("p0", OcclusionLevel.PARTIAL, 0.5),
+                PedestrianRecord("p1", OcclusionLevel.FULL, 0.0),
+            )),
+        ),
+    )
+
+
+class TestEnumResolution:
+    def test_tables_map_every_value_to_its_member(self):
+        from occlukg import scenes
+
+        assert set(scenes._MEMBERS) == set(_ENUMS)
+        for enum_cls, table in scenes._MEMBERS.items():
+            assert list(table) == [m.value for m in enum_cls]
+            # the parser's ``table.get(raw) or check`` needs every member truthy
+            assert all(table.values())
+            for member in enum_cls:
+                assert table[member.value] is member
+
+    @pytest.mark.parametrize("environment", list(Environment))
+    @pytest.mark.parametrize("surroundings", list(Surroundings))
+    def test_parsed_fields_are_the_members(self, environment, surroundings):
+        doc = dataclasses.replace(
+            _document_with_every_member(),
+            context=SceneContext("s", environment, True, 4, surroundings),
+        )
+        parsed = parse_scene_xml(serialize_scene_xml(doc))
+        assert parsed == doc
+        assert parsed.context.environment is environment
+        assert parsed.context.surroundings is surroundings
+        pairs = [
+            (a, b)
+            for fa, fb in zip(parsed.frames, doc.frames)
+            for a, b in [(fa.pedestrians_scene, fb.pedestrians_scene)]
+            + [(pa.occlusion, pb.occlusion) for pa, pb in zip(fa.pedestrians, fb.pedestrians)]
+            + [
+                (getattr(va, name), getattr(vb, name))
+                for va, vb in zip(fa.vehicles, fb.vehicles)
+                for name in ("state", "braking_lights", "distance", "position")
+            ]
+        ]
+        assert {type(b) for _, b in pairs} == set(_ENUMS) - {Environment, Surroundings}
+        assert {b for _, b in pairs} == {
+            m for cls in _ENUMS if cls not in (Environment, Surroundings) for m in cls
+        }
+        assert all(a is b for a, b in pairs)
+
+    def test_parsing_calls_no_enum_class(self, tiny_corpus, monkeypatch):
+        blobs = [serialize_scene_xml(d) for d in tiny_corpus]
+        blobs.append(serialize_scene_xml(_document_with_every_member()))
+        expected = [*tiny_corpus, _document_with_every_member()]
+
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError(f"{cls.__name__} called")
+
+        monkeypatch.setattr(enum.EnumMeta, "__call__", refuse)
+        parsed = [parse_scene_xml(b) for b in blobs]
+        monkeypatch.undo()
+        assert parsed == expected
+
+
+class TestRecords:
+    @pytest.fixture
+    def records(self, occluded_crossing_doc):
+        frame = occluded_crossing_doc.frames[0]
+        return {
+            "context": occluded_crossing_doc.context,
+            "pedestrian": frame.pedestrians[0],
+            "vehicle": frame.vehicles[0],
+            "frame": frame,
+            "document": occluded_crossing_doc,
+        }
+
+    def test_records_have_no_instance_dict(self, records):
+        for record in records.values():
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_records_are_frozen(self, records):
+        for record in records.values():
+            name = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, getattr(record, name))
+
+    def test_equality_and_hashing(self, records, occluded_crossing_doc):
+        copy = parse_scene_xml(serialize_scene_xml(occluded_crossing_doc))
+        assert copy == occluded_crossing_doc and copy is not occluded_crossing_doc
+        assert hash(copy) == hash(occluded_crossing_doc)
+        frame = copy.frames[0]
+        twins = [copy.context, frame.pedestrians[0], frame.vehicles[0], frame, copy]
+        for record, twin in zip(records.values(), twins):
+            assert record == twin and hash(record) == hash(twin)
+            assert record != dataclasses.replace(twin, **_changed(twin))
+        assert len({*records.values(), *twins}) == len(records)
+
+    def test_replace_builds_a_checked_copy(self, records):
+        context = dataclasses.replace(records["context"], lanes=5)
+        assert context.lanes == 5 and records["context"].lanes == 2
+        assert dataclasses.replace(records["pedestrian"], visible_fraction=None).visible_fraction is None
+        assert dataclasses.replace(
+            records["vehicle"], braking_lights=BrakingLights.OFF
+        ).braking_lights is BrakingLights.OFF
+        frame = dataclasses.replace(records["frame"], vehicles=[])
+        assert frame.vehicles == () and type(frame.vehicles) is tuple
+        document = dataclasses.replace(records["document"], frames=list(records["document"].frames[:1]))
+        assert document.frames == records["document"].frames[:1]
+        with pytest.raises(ValueError, match="lanes must be >= 1"):
+            dataclasses.replace(records["context"], lanes=0)
+        with pytest.raises(ValueError, match="visible_fraction"):
+            dataclasses.replace(records["pedestrian"], visible_fraction=2.0)
+        with pytest.raises(ValueError, match="frame_number"):
+            dataclasses.replace(records["frame"], frame_number=-1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            dataclasses.replace(records["document"], frames=records["document"].frames[::-1])
+
+
+def _changed(record) -> dict:
+    """One field of ``record`` set to another valid value."""
+    if isinstance(record, SceneContext):
+        return {"lanes": record.lanes + 1}
+    if isinstance(record, PedestrianRecord):
+        return {"pedestrian_id": record.pedestrian_id + "x"}
+    if isinstance(record, VehicleRecord):
+        return {"vehicle_id": record.vehicle_id + "x"}
+    if isinstance(record, FrameAnnotation):
+        return {"frame_number": record.frame_number + 100}
+    return {"frames": record.frames[:1]}
 
 
 class TestRoundTrip:
