@@ -262,8 +262,6 @@ def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec
             fields[key] = value
         elif key == "validation_ratio":
             fields[key] = _parse_value(key, value, float)
-        elif key == "calibrate":
-            fields["calibrate_scores"] = _parse_bool(key, value)
         elif key == "cross_environment":
             cross = _parse_bool(key, value)
         elif parts[0] == "training":
@@ -292,7 +290,6 @@ def render_experiment_spec(spec: ExperimentSpec, cross: bool) -> str:
         "seed": spec.seed,
         "denominator": spec.denominator,
         "validation_ratio": spec.validation_ratio,
-        "calibrate": spec.calibrate_scores,
         "cross_environment": cross,
     }
     for env in sorted(spec.counts, key=lambda e: e.value):
@@ -522,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patience", type=int, help="checks without improvement (default 5)")
     p.add_argument("--temperature", type=float, dest="adversarial_temperature",
                    metavar="TEMPERATURE", help="adversarial temperature (default 1)")
-    p.add_argument("--l2", type=float, help="L2 coefficient (default 0)")
     p.add_argument("--seed", type=int, help="training seed (default 0)")
     p.add_argument(
         "--validation-ratio",

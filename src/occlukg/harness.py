@@ -11,9 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Mapping, Sequence
 
 from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, FramePrediction, predict_frame
 from .kg import (
@@ -28,17 +26,20 @@ from .kg import (
     make_split,
 )
 from .kge.calibrate import CalibrationResult, calibrate
-from .kge.train import TrainingConfig, corrupt_batch, train
+from .kge.train import TrainingConfig, train
 from .scenes import Environment, RoadSceneDocument, SceneLabel
-
-CALIBRATION_NEGATIVES_PER_POSITIVE = 4
 
 _PATTERN_SUBJECTS = (ROAD_SCENE, PROTO_OCCLUDED, PROTO_VISIBLE, PROTO_NO_PED)
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One train/predict run: environment selection plus all knobs."""
+    """One train/predict run: environment selection plus all knobs.
+
+    Every run fits the trained model's probability map on the pattern
+    grid of its training graph (see ``_calibration_sets``) before
+    predicting; a grid without a negative keeps the identity map.
+    """
 
     train_environments: tuple[Environment, ...]
     test_environments: tuple[Environment, ...]
@@ -48,7 +49,6 @@ class ExperimentSpec:
     seed: int = 0
     denominator: str = "marginal"
     validation_ratio: float = 0.1
-    calibrate_scores: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "train_environments", tuple(self.train_environments))
@@ -83,7 +83,6 @@ class ExperimentSpec:
             "seed": self.seed,
             "denominator": self.denominator,
             "validation_ratio": self.validation_ratio,
-            "calibrate_scores": self.calibrate_scores,
         }
 
 
@@ -206,7 +205,7 @@ class MetricsReport:
         }
 
 
-def _calibration_sets(split, rng: np.random.Generator):
+def _calibration_sets(split) -> tuple[list[Triple], list[Triple]]:
     """Probability-map fitting sets for the class-pattern triple family.
 
     Posterior inference only ever scores triples whose subject is a
@@ -218,42 +217,28 @@ def _calibration_sets(split, rng: np.random.Generator):
     than random corruptions do, which keeps the fitted slope gentle
     enough that score differences among high-scoring triples survive
     the mapping.  A cell is absent when it is neither a training nor a
-    validation triple (the split holds nothing of the test fold).  Only
-    a grid with no absent cell (one training label, or validation
-    triples filling the rest) or a hand-built split without pattern
-    triples falls back to uniform corruption negatives around the
-    validation triples or a training-triple sample.
+    validation triple (the split holds nothing of the test fold).
+
+    With two or more training labels the cell <prototype of A,
+    contains, B> is always absent, so there is a negative.  With one
+    label, RoadScene and that label's prototype carry the same pairs
+    and the grid has no absent cell: the negatives come back empty.
     """
     known = split.all_known()
     # prototypes for classes absent from the train fold have no embedding
     subjects = tuple(s for s in _PATTERN_SUBJECTS if s in split.kg.entity_index)
-    pattern = [t for t in split.train if t.subject in subjects]
-    if pattern:
-        objects_by_relation: dict[str, set[str]] = {}
-        for t in pattern:
-            objects_by_relation.setdefault(t.relation, set()).add(t.object)
-        negatives = [
-            Triple(subject, relation, obj)
-            for relation in sorted(objects_by_relation)
-            for subject in subjects
-            for obj in sorted(objects_by_relation[relation])
-            if Triple(subject, relation, obj) not in known
-        ]
-        if negatives:
-            return pattern, negatives
-    positives = list(split.validation)
-    if not positives:
-        train = list(split.train)
-        n = min(200, len(train))
-        chosen = rng.choice(len(train), size=n, replace=False)
-        positives = [train[i] for i in np.sort(chosen)]
-    kg = split.kg
-    pos_idx = kg.to_index_array(positives)
-    corrupted = corrupt_batch(pos_idx, CALIBRATION_NEGATIVES_PER_POSITIVE, kg.n_entities, rng)
-    candidates = (
-        Triple(kg.entities[s], kg.relations[r], kg.entities[o]) for s, r, o in corrupted
-    )
-    return positives, [t for t in candidates if t not in known]
+    positives = [t for t in split.train if t.subject in subjects]
+    objects_by_relation: dict[str, set[str]] = {}
+    for t in positives:
+        objects_by_relation.setdefault(t.relation, set()).add(t.object)
+    negatives = [
+        Triple(subject, relation, obj)
+        for relation in sorted(objects_by_relation)
+        for subject in subjects
+        for obj in sorted(objects_by_relation[relation])
+        if Triple(subject, relation, obj) not in known
+    ]
+    return positives, negatives
 
 
 def run_experiment_with_predictions(
@@ -279,12 +264,15 @@ def run_experiment_with_predictions(
     result = train(split, spec.training)
     model = result.model
 
-    rng = np.random.default_rng(spec.seed)
-    if spec.calibrate_scores:
-        positives, negatives = _calibration_sets(split, rng)
-        cal: Optional[CalibrationResult] = calibrate(model, positives, negatives)
+    positives, negatives = _calibration_sets(split)
+    if negatives:
+        cal = calibrate(model, positives, negatives)
     else:
-        cal = None
+        # one training label: its prototype wins every frame whatever the map
+        cal = CalibrationResult(
+            1.0, 0.0, warning=True,
+            message="calibration grid has no negative; using identity map",
+        )
 
     cm = ConfusionMatrix()
     env_cms: dict[str, ConfusionMatrix] = {}
@@ -334,12 +322,7 @@ def run_experiment_with_predictions(
         clamp_rate=clamped / reports_total if reports_total else 0.0,
         truncation_rate=truncated / n_frames if n_frames else 0.0,
         oov_item_rate=dropped_items / items_total if items_total else 0.0,
-        calibration={
-            "used": cal is not None,
-            "a": cal.a if cal else 1.0,
-            "b": cal.b if cal else 0.0,
-            "warning": cal.warning if cal else False,
-        },
+        calibration={"a": cal.a, "b": cal.b, "warning": cal.warning},
         n_frames=n_frames,
     )
     return report, predictions

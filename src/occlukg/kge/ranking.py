@@ -27,7 +27,6 @@ class RankingReport:
     mean_rank: float
     triples: tuple[Triple, ...]
     ranks: tuple[tuple[int, int], ...]  # (subject-direction, object-direction)
-    mode: str = "filtered"
 
     def __post_init__(self):
         if not 0.0 < self.mrr <= 1.0:

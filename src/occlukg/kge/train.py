@@ -54,7 +54,6 @@ class TrainingConfig:
     check_every: int = 10
     patience: int = 5
     seed: int = 0
-    l2: float = 0.0
 
     def __post_init__(self):
         if self.k < 1:
@@ -73,8 +72,6 @@ class TrainingConfig:
             raise ValueError("check_every must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
 
 
 @dataclass
@@ -330,10 +327,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
                 )
             loss_sum += loss * pos.shape[0]
             for name, grad in zip(TABLES, grads):
-                params = getattr(model, name)
-                if config.l2 > 0:
-                    grad = grad + config.l2 * params
-                adam_step(adam[name], params, grad, config.learning_rate)
+                adam_step(adam[name], getattr(model, name), grad, config.learning_rate)
         history.append(f"epoch\t{loss_sum / n!r}")
 
         if has_validation and (epoch % config.check_every == 0 or epoch == config.max_epochs):

@@ -311,6 +311,8 @@ def _parse_pedestrian(elem: ET.Element) -> PedestrianRecord:
             vf,
         )
     except ValueError as exc:
+        if isinstance(exc, SceneValidationError):
+            raise
         raise SceneValidationError(f"<pedestrian>: {exc}") from None
 
 

@@ -356,7 +356,7 @@ class TestOccludedPedestrianBenchmark:
         report, _ = benchmark_outcome
         assert report.spec_echo["label"] == "Virtual->Virtual"
         assert report.n_frames == report.confusion.total
-        assert report.calibration["used"] is True
+        assert report.calibration["warning"] is False
         core = compute_metrics(report.confusion)
         assert (report.precision, report.recall, report.f1) == (
             core.precision,

@@ -3,6 +3,7 @@
 import importlib
 import json
 import os
+import shlex
 import shutil
 import struct
 import subprocess
@@ -19,6 +20,7 @@ from occlukg.cli import (
     EXIT_USAGE,
     ConfigError,
     _render_flat,
+    build_parser,
     experiment_spec_from_mapping,
     generator_config_from_mapping,
     main,
@@ -170,7 +172,7 @@ class TestTrainingConfigMapping:
         cfg = TrainingConfig(
             k=7, eta=3, learning_rate=0.01, batch_size=64,
             adversarial_temperature=2.0, max_epochs=9, check_every=2,
-            patience=1, seed=5, l2=0.001,
+            patience=1, seed=5,
         )
         text = _render_flat(render_training_config(cfg))
         assert training_config_from_mapping(parse_flat_config(text)) == cfg
@@ -398,7 +400,6 @@ class TestTrain:
             "--check-every": ("check_every", "2"),
             "--patience": ("patience", "3"),
             "--temperature": ("adversarial_temperature", "0.7"),
-            "--l2": ("l2", "0.001"),
             "--seed": ("seed", "5"),
         }
         defaults = TrainingConfig()
@@ -440,6 +441,28 @@ class TestTrain:
         ])
         assert code == EXIT_USAGE
         assert "validation_ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_l2_config_key_rejected(self, kg_path, tmp_path, capsys):
+        cfg = tmp_path / "train.txt"
+        cfg.write_text("l2 = 0.001\n", encoding="utf-8")
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out), "--config", str(cfg),
+            "--k", "4", "--max-epochs", "1",
+        ])
+        assert code == EXIT_USAGE
+        assert "unknown configuration key 'l2'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_l2_flag_rejected(self, kg_path, tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out),
+            "--k", "4", "--max-epochs", "1", "--l2", "0.001",
+        ])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --l2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_kg_file(self, tmp_path):
@@ -513,6 +536,16 @@ class TestExperiment:
         assert len(text.strip().splitlines()) == 1 + 6
         assert not (out / "predictions.jsonl").exists()
         assert "cross_environment = true" in (out / "effective-config.txt").read_text()
+
+    def test_removed_calibrate_key_rejected(self, corpus_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_CONFIG + "calibrate = false\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["experiment", "--corpus", str(corpus_dir), "--spec", str(spec),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown configuration key 'calibrate'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_spec_without_counts(self, corpus_dir, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
@@ -636,3 +669,25 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "occlukg" in proc.stdout
+
+
+class TestReadmeQuickstart:
+    def test_every_command_parses(self):
+        # a flag deleted from the CLI must not linger in the docs
+        text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Quickstart (CLI)", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("occlukg ")
+        ]
+        assert [argv[0] for argv in commands] == [
+            "gen", "build-kg", "train", "experiment", "predict",
+        ]
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: occlukg {shlex.join(argv)}")

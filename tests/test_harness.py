@@ -28,9 +28,7 @@ from occlukg.kg import (
     PROTO_VISIBLE,
     ROAD_SCENE,
     SplitError,
-    TripleSplit,
     assign_folds,
-    build_kg,
     make_split,
 )
 from occlukg.kge.calibrate import calibrate
@@ -165,7 +163,7 @@ class TestCalibrationSets:
     def test_pattern_grid(self, small_corpus):
         spec = small_spec()
         split = make_split(assign_folds(small_corpus, spec.counts, 0, 0.34))
-        positives, negatives = _calibration_sets(split, np.random.default_rng(0))
+        positives, negatives = _calibration_sets(split)
         known = split.all_known()
         assert positives
         assert negatives
@@ -178,18 +176,27 @@ class TestCalibrationSets:
             assert t not in known
             assert (t.relation, t.object) in rel_objs
 
-    def test_fallback_without_class_triples(self, small_corpus):
-        # a split whose graph lacks prototype subjects: negatives fall
-        # back to corruption sampling around the positives
-        kg = build_kg(small_corpus[:3])
-        triples = tuple(kg.sorted_triples())
-        split = TripleSplit(kg=kg, train=triples, validation=triples[:10])
-        positives, negatives = _calibration_sets(split, np.random.default_rng(0))
-        assert list(positives) == list(triples[:10])
-        known = split.all_known()
-        assert negatives
-        for t in negatives:
-            assert t not in known
+    @pytest.mark.parametrize("validation_ratio", [0.0, 0.34])
+    def test_negatives_iff_two_training_labels(self, validation_ratio):
+        # The grid has a negative exactly when the training fold holds two
+        # or more frame labels: <prototype of A, contains, B> is then absent.
+        # With one label, RoadScene and its prototype carry the same pairs.
+        seen = set()
+        for corpus_seed in range(4):
+            cfg = dataclasses.replace(
+                default_config(),
+                n_scenes={Environment.REAL: 4, Environment.VIRTUAL: 4},
+                frames_per_scene=(3, 5),
+            )
+            corpus = generate_corpus(cfg, seed=corpus_seed)
+            for fold_seed, n_train in itertools.product(range(4), (1, 2, 3)):
+                counts = {Environment.REAL: (n_train, 1), Environment.VIRTUAL: (n_train, 1)}
+                folds = assign_folds(corpus, counts, fold_seed, validation_ratio)
+                labels = {f.pedestrians_scene for d in folds.train for f in d.frames}
+                _, negatives = _calibration_sets(make_split(folds))
+                assert bool(negatives) == (len(labels) >= 2), (corpus_seed, fold_seed, n_train)
+                seen.add(len(labels) >= 2)
+        assert seen == {False, True}
 
 
 class TestTestFoldIsolation:
@@ -241,7 +248,7 @@ class TestRunExperiment:
         env = report.per_environment["Virtual"]
         assert env["n_frames"] == report.n_frames
         assert report.spec_echo["label"] == "Virtual->Virtual"
-        assert report.calibration["used"] is True
+        assert set(report.calibration) == {"a", "b", "warning"}
         assert 0.0 <= report.clamp_rate <= 1.0
         assert 0.0 <= report.truncation_rate <= 1.0
         assert 0.0 <= report.oov_item_rate <= 1.0
@@ -265,11 +272,24 @@ class TestRunExperiment:
         report = run_experiment(small_corpus, small_spec(horizon=0))
         assert report.truncation_rate == 0.0
 
-    def test_without_calibration(self, small_corpus):
-        report = run_experiment(small_corpus, small_spec(calibrate_scores=False))
-        assert report.calibration == {
-            "used": False, "a": 1.0, "b": 0.0, "warning": False,
-        }
+    def test_single_label_run_keeps_the_identity_map(self, small_corpus):
+        # One Virtual training scene: one label, so the calibration grid has
+        # no negative, and that label's prototype is the only one with an
+        # embedding, so it wins every frame.
+        spec = small_spec(
+            counts={Environment.REAL: (3, 1), Environment.VIRTUAL: (1, 2)},
+            validation_ratio=0.0,
+        )
+        folds = assign_folds(small_corpus, spec.counts, spec.seed, spec.validation_ratio)
+        train_virtual = [
+            d for d in folds.train if d.context.environment is Environment.VIRTUAL
+        ]
+        labels = {f.pedestrians_scene for d in train_virtual for f in d.frames}
+        assert len(labels) == 1
+        report, predictions = run_experiment_with_predictions(small_corpus, spec)
+        assert report.calibration == {"a": 1.0, "b": 0.0, "warning": True}
+        assert predictions
+        assert {p.predicted for p in predictions} == labels
 
     def test_cross_environment_test_selection(self, small_corpus):
         spec = small_spec(test_environments=(Environment.REAL,))
@@ -324,7 +344,7 @@ def report_with(f1, precision, recall, label="Virtual->Virtual"):
         clamp_rate=0.0,
         truncation_rate=0.0,
         oov_item_rate=0.0,
-        calibration={"used": True, "a": 1.0, "b": 0.0, "warning": False},
+        calibration={"a": 1.0, "b": 0.0, "warning": False},
         n_frames=4,
     )
 

@@ -155,7 +155,6 @@ class TestExactFixtures:
         assert report.hits_at_3 == 4 / 6
         assert report.hits_at_10 == 1.0
         assert report.mean_rank == 14 / 6
-        assert report.mode == "filtered"
 
     def test_strictly_highest_scores_give_perfect_mrr(self):
         # antisymmetric form score(x, r, y) = x_re*y_im - x_im*y_re makes
@@ -215,8 +214,7 @@ class TestReportValidation:
         )
 
     def test_accepts_valid(self):
-        report = RankingReport(**self.valid_kwargs())
-        assert report.mode == "filtered"
+        RankingReport(**self.valid_kwargs())
 
     @pytest.mark.parametrize("mrr", [0.0, -0.1, 1.5])
     def test_rejects_mrr_out_of_range(self, mrr):

@@ -43,7 +43,6 @@ class TestTrainingConfig:
         assert cfg.max_epochs == 500
         assert cfg.check_every == 10
         assert cfg.patience == 5
-        assert cfg.l2 == 0.0
 
     @pytest.mark.parametrize(
         "field,value",
@@ -56,7 +55,6 @@ class TestTrainingConfig:
             ("max_epochs", 0),
             ("check_every", 0),
             ("patience", 0),
-            ("l2", -0.1),
         ],
     )
     def test_rejects_bad_values(self, field, value):
@@ -563,12 +561,12 @@ class TestTrainLoop:
         model0 = init_embeddings(split.kg, cfg.k, cfg.seed)
         assert not np.array_equal(result.model.ent_re, model0.ent_re)
 
-    def test_l2_is_one_batch_step_and_a_closed_form_adam_step(self):
+    def test_one_epoch_is_one_batch_step_and_a_closed_form_adam_step(self):
         # one epoch of one batch, no validation: the returned model is the
-        # initial tables after one Adam step (m = v = 0) on grad + l2 * params
+        # initial tables after one Adam step (m = v = 0) on the batch gradient
         split = make_split(validation=False)
         cfg = TrainingConfig(
-            k=6, eta=3, learning_rate=0.05, batch_size=10_000, max_epochs=1, seed=4, l2=0.1,
+            k=6, eta=3, learning_rate=0.05, batch_size=10_000, max_epochs=1, seed=4,
         )
         result = train(split, cfg)
 
@@ -582,9 +580,8 @@ class TestTrainLoop:
         assert result.history == (f"epoch\t{loss!r}",)
         for name, grad in zip(TABLES, grads):
             params = getattr(model0, name)
-            g = grad + cfg.l2 * params
-            m = (1.0 - 0.9) * g
-            v = (1.0 - 0.999) * g * g
+            m = (1.0 - 0.9) * grad
+            v = (1.0 - 0.999) * grad * grad
             step = cfg.learning_rate * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
             assert np.array_equal(getattr(result.model, name), params - step), name
         assert not np.array_equal(result.model.ent_re, model0.ent_re)

@@ -280,15 +280,15 @@ _CONTRACT_CASES = {
     ),
     "pedestrian-missing-id": (
         [(b' id="p0"', b"")],
-        "<pedestrian>: <pedestrian> missing required attribute 'id'",
+        "<pedestrian> missing required attribute 'id'",
     ),
     "pedestrian-missing-occlusion": (
         [(b' occlusion="Full"', b"")],
-        "<pedestrian>: <pedestrian> missing required attribute 'occlusion'",
+        "<pedestrian> missing required attribute 'occlusion'",
     ),
     "pedestrian-unknown-value": (
         [(b'"Full"', b'"full"')],
-        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "<pedestrian> attribute 'occlusion' has unknown value 'full' "
         "(allowed: None, Partial, Full)",
     ),
     "pedestrian-child": (
@@ -436,11 +436,11 @@ _CONTRACT_CASES = {
     ),
     "missing-id-before-fraction-range": (
         [(b' id="p0"', b""), (b'"0.1"', b'"1.5"')],
-        "<pedestrian>: <pedestrian> missing required attribute 'id'",
+        "<pedestrian> missing required attribute 'id'",
     ),
     "occlusion-before-fraction-range": (
         [(b'"Full"', b'"full"'), (b'"0.1"', b'"1.5"')],
-        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "<pedestrian> attribute 'occlusion' has unknown value 'full' "
         "(allowed: None, Partial, Full)",
     ),
     "frame-number-before-children": (
@@ -454,7 +454,7 @@ _CONTRACT_CASES = {
     ),
     "pedestrian-before-vehicle": (
         [(b'"Full"', b'"full"'), (b'"Decelerating"', b'"Braking"')],
-        "<pedestrian>: <pedestrian> attribute 'occlusion' has unknown value 'full' "
+        "<pedestrian> attribute 'occlusion' has unknown value 'full' "
         "(allowed: None, Partial, Full)",
     ),
     "lanes-before-missing-id": (
