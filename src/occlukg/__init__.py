@@ -61,12 +61,9 @@ from .bayes import (
     FramePrediction,
     Hypothesis,
     PosteriorReport,
-    evidence_conditional,
-    evidence_marginal,
     extract_evidence,
     posterior,
     predict_frame,
-    prior,
 )
 from .synth import GeneratorConfig, default_config, generate_corpus, uninformative_config
 from .harness import (

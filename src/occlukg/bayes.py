@@ -15,29 +15,31 @@ modes. A hypothesis whose prototype the model lacks scores 0 and cannot
 win, and the mixture denominator sums only over the hypotheses whose
 prototype is present.
 
-Prediction reads the same few dozen triples on every frame, so each
-triple's probability is computed once per (model, calibration), checked
-against the ontology on that first computation (a bad pair raises
-ValueError from ``posterior``), and then read back from the model's
-memo. On top of it sits one memo row per (relation, object, source)
+Prediction reads the same few dozen triples on every frame, so they
+are computed once per (model, calibration) and kept in one memo,
+``model.memo()``. It holds one row per (relation, object, source)
 evidence pair: its ``EvidenceItem``, whether the object is in the
 model vocabulary (usable) or dropped, and its ``EvidenceFactor`` under
-each hypothesis whose prototype is present. ``predict_frame`` assembles
-a frame from those rows, decides the label from the three clamped
-values, and then builds each report once. A row is stored only when
-complete, so a failure is never cached. Assigning a new
-``model.calibration`` starts both memos afresh. After the first
-prediction the model's four embedding tables are read-only, so an
-in-place write raises instead of leaving stale probabilities behind;
-``model.copy()`` gives writable tables and empty memos.
+each hypothesis whose prototype is present. Each triple is checked
+against the ontology when its row is built (a bad pair raises
+ValueError from ``posterior``). Beside the rows, the memo holds each
+hypothesis' prior under its index in HYPOTHESES, computed on first
+use. ``predict_frame`` assembles a frame from those rows, decides the
+label from the three clamped values, and then builds each report once.
+A row is stored only when complete, so a failure is never cached.
+Assigning a new ``model.calibration`` starts the memo afresh. After the
+first prediction the model's four embedding tables are read-only, so
+an in-place write raises instead of leaving stale probabilities behind;
+``model.copy()`` gives writable tables and an empty memo.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .kg import ONTOLOGY, PROTOTYPE_FOR_LABEL, ROAD_SCENE, Triple, frame_evidence_pairs
 from .kge.calibrate import triple_probability
@@ -155,31 +157,19 @@ def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceI
 
 
 def _probability(model: ComplexModel, subject: str, relation: str, object: str) -> float:
-    """triple_probability, ontology-checked and computed once per (model, calibration)."""
-    memo = model.probability_memo()
-    key = (subject, relation, object)
-    p = memo.get(key)
+    """triple_probability of a triple; ValueError if it fails the ontology check."""
+    problem = ONTOLOGY.check(Triple(subject, relation, object))
+    if problem:
+        raise ValueError(f"triple fails ontology check: {problem}")
+    return triple_probability(model, subject, relation, object)
+
+
+def _prior(model: ComplexModel, memo: dict, i: int) -> float:
+    """Calibrated probability of <RoadScene, contains, HYPOTHESES[i]'s label>, memoized under i."""
+    p = memo.get(i)
     if p is None:
-        problem = ONTOLOGY.check(Triple(subject, relation, object))
-        if problem:
-            raise ValueError(f"triple fails ontology check: {problem}")
-        p = memo[key] = triple_probability(model, subject, relation, object)
+        p = memo[i] = _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[i])
     return p
-
-
-def prior(model: ComplexModel, h: Hypothesis) -> float:
-    """Calibrated probability of <RoadScene, contains, label>."""
-    return _probability(model, ROAD_SCENE, "contains", h.label.value)
-
-
-def evidence_marginal(model: ComplexModel, e: EvidenceItem) -> float:
-    """Calibrated probability of <RoadScene, e.relation, e.object>."""
-    return _probability(model, ROAD_SCENE, e.relation, e.object)
-
-
-def evidence_conditional(model: ComplexModel, e: EvidenceItem, h: Hypothesis) -> float:
-    """Calibrated probability of <h.prototype, e.relation, e.object>."""
-    return _probability(model, h.prototype, e.relation, e.object)
 
 
 class _Row:
@@ -188,8 +178,8 @@ class _Row:
     ``factors`` holds the pair's factor under each of HYPOTHESES, None
     where the model lacks that prototype; a row whose object the model
     lacks is not usable and has no factors. Rows live in
-    ``model.evidence_memo()``, stored by ``memo.setdefault`` only once
-    built, so a pair that fails the ontology check raises on every use.
+    ``model.memo()``, stored by ``memo.setdefault`` only once built, so
+    a pair that fails the ontology check raises on every use.
     """
 
     __slots__ = ("item", "usable", "factors")
@@ -199,11 +189,11 @@ class _Row:
         self.usable = object in model.entity_index
         self.factors = None
         if self.usable:
-            marg = evidence_marginal(model, self.item)
+            marg = _probability(model, ROAD_SCENE, relation, object)
             factors = []
-            for h in HYPOTHESES:
-                if h.prototype in model.entity_index:
-                    cond = evidence_conditional(model, self.item, h)
+            for proto in _PROTOTYPES:
+                if proto in model.entity_index:
+                    cond = _probability(model, proto, relation, object)
                     factors.append(EvidenceFactor(self.item, marg, cond, cond / marg))
                 else:
                     factors.append(None)
@@ -215,7 +205,9 @@ class _Row:
 _ZERO_SCORE = (0.0, (), 1.0, 0.0, 0.0, False)
 
 
-def _score(model: ComplexModel, i: int, rows: Sequence[_Row], denominator: str) -> tuple:
+def _score(
+    model: ComplexModel, memo: dict, i: int, rows: Sequence[_Row], denominator: str
+) -> tuple:
     """PosteriorReport's (prior, factors, denominator, raw, clamped, clamp_flagged)
     for HYPOTHESES[i] over usable rows; see ``posterior``."""
     index = model.entity_index
@@ -229,10 +221,10 @@ def _score(model: ComplexModel, i: int, rows: Sequence[_Row], denominator: str) 
         den = 0.0
         for j, proto in enumerate(_PROTOTYPES):
             if proto in index:
-                den += _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[j]) * _product(
+                den += _prior(model, memo, j) * _product(
                     [row.factors[j].conditional for row in rows]
                 )
-    p_h = _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[i])
+    p_h = _prior(model, memo, i)
     raw = p_h * num / den
     clamped = min(max(raw, 0.0), 1.0)
     return p_h, factors, den, raw, clamped, clamped != raw
@@ -258,7 +250,7 @@ def posterior(
     """
     if denominator not in DENOMINATOR_MODES:
         raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
-    memo = model.evidence_memo()
+    memo = model.memo()
     rows = []
     for e in evidence:
         pair = (e.relation, e.object, e.source.value)
@@ -266,7 +258,7 @@ def posterior(
         if not row.usable:
             raise KeyError(e.object)
         rows.append(row)
-    return PosteriorReport(h, *_score(model, HYPOTHESES.index(h), rows, denominator),
+    return PosteriorReport(h, *_score(model, memo, HYPOTHESES.index(h), rows, denominator),
                            denominator)
 
 
@@ -299,6 +291,11 @@ class FramePrediction:
         }
 
 
+def predictions_jsonl(preds: Iterable[FramePrediction]) -> str:
+    """The text of predictions.jsonl: each prediction's record as sorted-key JSON, one per line."""
+    return "".join(json.dumps(p.to_record(), sort_keys=True) + "\n" for p in preds)
+
+
 def predict_frame(
     model: ComplexModel,
     doc: RoadSceneDocument,
@@ -319,7 +316,7 @@ def predict_frame(
         raise ValueError("horizon must be >= 0")
     if denominator not in DENOMINATOR_MODES:
         raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
-    memo = model.evidence_memo()
+    memo = model.memo()
     usable: list[_Row] = []
     dropped: list[EvidenceItem] = []
     for pair in frame_evidence_pairs(doc, _frame(doc, t)):
@@ -328,7 +325,7 @@ def predict_frame(
             usable.append(row)
         else:
             dropped.append(row.item)
-    scores = [_score(model, i, usable, denominator) for i in range(len(HYPOTHESES))]
+    scores = [_score(model, memo, i, usable, denominator) for i in range(len(HYPOTHESES))]
     best = max(range(len(scores)), key=lambda i: scores[i][4])  # first maximum
     predicted = HYPOTHESES[best].label
     last = len(doc.frames) - 1

@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, predict_frame
+from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, predict_frame, predictions_jsonl
 from .harness import (
     ExperimentSpec,
     render_report,
@@ -447,10 +447,7 @@ def cmd_experiment(args) -> int:
     else:
         report, predictions = run_experiment_with_predictions(docs, spec)
         reports = {spec.label(): report}
-        (out / "predictions.jsonl").write_text(
-            "".join(json.dumps(p.to_record(), sort_keys=True) + "\n" for p in predictions),
-            encoding="utf-8",
-        )
+        (out / "predictions.jsonl").write_text(predictions_jsonl(predictions), encoding="utf-8")
     text, jsonl = render_report(reports)
     (out / "report.txt").write_text(text, encoding="utf-8")
     (out / "report.jsonl").write_text(jsonl, encoding="utf-8")

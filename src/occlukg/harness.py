@@ -322,7 +322,7 @@ def run_experiment_with_predictions(
         clamp_rate=clamped / reports_total if reports_total else 0.0,
         truncation_rate=truncated / n_frames if n_frames else 0.0,
         oov_item_rate=dropped_items / items_total if items_total else 0.0,
-        calibration={"a": cal.a, "b": cal.b, "warning": cal.warning},
+        calibration={"a": cal.a, "b": cal.b, "warning": cal.warning, "message": cal.message},
         n_frames=n_frames,
     )
     return report, predictions

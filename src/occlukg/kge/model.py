@@ -36,7 +36,9 @@ class ComplexModel:
 
     ``ent_re``/``ent_im`` are (|E|, k); ``rel_re``/``rel_im`` are (|R|, k).
     ``calibration`` is the (a, b) sigmoid map applied by
-    triple_probability; (1, 0) until a fit replaces it.
+    triple_probability; (1, 0) until a fit replaces it. ``memo()`` is
+    the one cache of prediction-time probabilities, reset whenever
+    ``calibration`` changes.
     """
 
     entities: tuple[str, ...]
@@ -63,17 +65,17 @@ class ComplexModel:
         self.calibration = (float(self.calibration[0]), float(self.calibration[1]))
         self.entity_index = {e: i for i, e in enumerate(self.entities)}
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
-        self._memos: tuple[dict, dict] = ({}, {})
+        self._memo: dict = {}
         self._memo_calibration = None
 
     @property
     def k(self) -> int:
         return self.ent_re.shape[1]
 
-    def probability_memo(self) -> dict:
-        """Calibrated probabilities by (subject, relation, object), for the current calibration.
+    def memo(self) -> dict:
+        """occlukg.bayes' prediction memo for the current calibration.
 
-        occlukg.bayes fills it, so each triple's probability is computed
+        occlukg.bayes fills it, so each probability it reads is computed
         once per model and calibration. It starts empty on every new
         model (``copy()`` and ``load_checkpoint`` included) and again
         whenever ``calibration`` changes. The first call for a
@@ -81,19 +83,12 @@ class ComplexModel:
         after it raises ValueError instead of leaving stale
         probabilities behind.
         """
-        return self._current_memos()[0]
-
-    def evidence_memo(self) -> dict:
-        """occlukg.bayes' rows by evidence pair, built from probability_memo and reset with it."""
-        return self._current_memos()[1]
-
-    def _current_memos(self) -> tuple[dict, dict]:
         if self._memo_calibration != self.calibration:
             for name in TABLES:
                 getattr(self, name).flags.writeable = False
-            self._memos = ({}, {})
+            self._memo = {}
             self._memo_calibration = self.calibration
-        return self._memos
+        return self._memo
 
     def copy(self) -> "ComplexModel":
         return ComplexModel(

@@ -14,12 +14,9 @@ from occlukg.bayes import (
     EvidenceItem,
     EvidenceSource,
     Hypothesis,
-    evidence_conditional,
-    evidence_marginal,
     extract_evidence,
     posterior,
     predict_frame,
-    prior,
 )
 from occlukg.kg import (
     PROTO_NO_PED,
@@ -176,20 +173,6 @@ class TestPosteriorExactValues:
         )
         rep = posterior(model, occluded_hypothesis(), [e1, e2])
         assert rep.raw == pytest.approx(0.5 * (0.6 / 0.3) * (0.7 / 0.35), abs=1e-9)
-
-    def test_probability_accessors(self):
-        model = probability_model(
-            {
-                (ROAD_SCENE, "contains", "PedestrianOccluded"): 0.25,
-                (PROTO_OCCLUDED, "hasSurroundings", "Vegetation"): 0.9,
-                (ROAD_SCENE, "hasSurroundings", "Vegetation"): 0.45,
-            }
-        )
-        h = occluded_hypothesis()
-        e = item()
-        assert prior(model, h) == pytest.approx(0.25, abs=1e-12)
-        assert evidence_marginal(model, e) == pytest.approx(0.45, abs=1e-12)
-        assert evidence_conditional(model, e, h) == pytest.approx(0.9, abs=1e-12)
 
     def test_bad_denominator_mode(self):
         model = probability_model({})
@@ -494,16 +477,18 @@ def predict_all(model, corpus, denominator="marginal"):
 
 
 def recorded_probabilities(preds):
+    """((subject, relation, object), value) for every probability the predictions record."""
+    return report_probabilities([r for pred in preds for r in pred.reports])
+
+
+def report_probabilities(reports):
     """((subject, relation, object), value) for every probability the reports record."""
     out = []
-    for pred in preds:
-        for r in pred.reports:
-            out.append(((ROAD_SCENE, "contains", r.hypothesis.label.value), r.prior))
-            for f in r.factors:
-                out.append(((ROAD_SCENE, f.item.relation, f.item.object), f.marginal))
-                out.append(
-                    ((r.hypothesis.prototype, f.item.relation, f.item.object), f.conditional)
-                )
+    for r in reports:
+        out.append(((ROAD_SCENE, "contains", r.hypothesis.label.value), r.prior))
+        for f in r.factors:
+            out.append(((ROAD_SCENE, f.item.relation, f.item.object), f.marginal))
+            out.append(((r.hypothesis.prototype, f.item.relation, f.item.object), f.conditional))
     return out
 
 
@@ -554,7 +539,8 @@ class TestProbabilityMemo:
         assert predict_frame(model, visible_ped_doc, 0).to_record() == before
 
     def test_each_distinct_triple_is_scored_once(self, tiny_corpus, visible_ped_doc, monkeypatch):
-        model = graph_model(tiny_corpus)
+        # mixture mode reads every present prior once per hypothesis, so it
+        # is where a second scoring of a prior would show
         calls = []
 
         def counting(model, subject, relation, object):
@@ -562,10 +548,24 @@ class TestProbabilityMemo:
             return triple_probability(model, subject, relation, object)
 
         monkeypatch.setattr(bayes_module, "triple_probability", counting)
-        preds = predict_all(model, [visible_ped_doc])
-        queried = {key for key, _ in recorded_probabilities(preds)}
-        assert len(calls) == len(queried)
-        assert set(calls) == queried
+        for denominator in DENOMINATOR_MODES:
+            for entry in ("predict_frame", "posterior"):
+                model = graph_model(tiny_corpus)
+                calls.clear()
+                reports = []
+                for attempt in range(2):  # a cold memo, then a warm one
+                    for t in range(len(visible_ped_doc.frames)):
+                        if entry == "predict_frame":
+                            reports += predict_frame(model, visible_ped_doc, t,
+                                                     denominator=denominator).reports
+                        else:
+                            evidence = [e for e in extract_evidence(visible_ped_doc, t)
+                                        if e.object in model.entity_index]
+                            reports += [posterior(model, h, evidence, denominator)
+                                        for h in HYPOTHESES]
+                queried = {key for key, _ in report_probabilities(reports)}
+                assert len(calls) == len(queried), (denominator, entry)
+                assert set(calls) == queried, (denominator, entry)
 
 
 def left_to_right_product(values):

@@ -248,7 +248,7 @@ class TestRunExperiment:
         env = report.per_environment["Virtual"]
         assert env["n_frames"] == report.n_frames
         assert report.spec_echo["label"] == "Virtual->Virtual"
-        assert set(report.calibration) == {"a", "b", "warning"}
+        assert set(report.calibration) == {"a", "b", "warning", "message"}
         assert 0.0 <= report.clamp_rate <= 1.0
         assert 0.0 <= report.truncation_rate <= 1.0
         assert 0.0 <= report.oov_item_rate <= 1.0
@@ -287,7 +287,10 @@ class TestRunExperiment:
         labels = {f.pedestrians_scene for d in train_virtual for f in d.frames}
         assert len(labels) == 1
         report, predictions = run_experiment_with_predictions(small_corpus, spec)
-        assert report.calibration == {"a": 1.0, "b": 0.0, "warning": True}
+        assert report.calibration == {
+            "a": 1.0, "b": 0.0, "warning": True,
+            "message": "calibration grid has no negative; using identity map",
+        }
         assert predictions
         assert {p.predicted for p in predictions} == labels
 
