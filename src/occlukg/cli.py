@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -466,16 +465,7 @@ def cmd_predict(args) -> int:
     prediction = predict_frame(
         model, doc, args.frame, horizon=args.horizon, denominator=args.denominator
     )
-    shared = {
-        "scene": prediction.scene_id,
-        "frame": prediction.frame_number,
-        "horizon": prediction.horizon,
-        "truncated": prediction.truncated,
-        "predicted": prediction.predicted.value,
-        "ground_truth": prediction.ground_truth.value,
-    }
-    for report in prediction.reports:
-        print(json.dumps({**shared, **report.to_record()}, sort_keys=True))
+    print(predictions_jsonl([prediction]), end="")
     return EXIT_OK
 
 

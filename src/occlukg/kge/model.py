@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -135,9 +135,6 @@ def init_embeddings(kg: "KnowledgeGraph", k: int, seed: int) -> ComplexModel:
     return init_tables(kg.entities, kg.relations, k, seed)
 
 
-ArrayLike = Union[np.ndarray, Sequence[float]]
-
-
 def _score_arrays(
     s_re: np.ndarray, s_im: np.ndarray,
     r_re: np.ndarray, r_im: np.ndarray,
@@ -185,19 +182,9 @@ def score_gradient(
     si = model.entity_index[subject]
     ri = model.relation_index[relation]
     oi = model.entity_index[object]
-    return _score_partials(
-        model.ent_re[si], model.ent_im[si],
-        model.rel_re[ri], model.rel_im[ri],
-        model.ent_re[oi], model.ent_im[oi],
-    )
-
-
-def _score_partials(
-    s_re: np.ndarray, s_im: np.ndarray,
-    r_re: np.ndarray, r_im: np.ndarray,
-    o_re: np.ndarray, o_im: np.ndarray,
-) -> dict[str, np.ndarray]:
-    """score_gradient's six partials for gathered rows (any leading shape)."""
+    s_re, s_im = model.ent_re[si], model.ent_im[si]
+    r_re, r_im = model.rel_re[ri], model.rel_im[ri]
+    o_re, o_im = model.ent_re[oi], model.ent_im[oi]
     p = {}
     p["s_re"], p["s_im"] = _subject_partials(r_re, r_im, o_re, o_im)
     p["r_re"], p["r_im"] = _relation_partials(s_re, s_im, o_re, o_im)
@@ -205,46 +192,25 @@ def _score_partials(
     return p
 
 
-# The per-side partials, each as (re, im). ``out``, when given, is a pair
-# of arrays (views allowed) that receive the two halves, so a caller can
-# write partials straight into a larger block. Each half is computed as
-# op(a * b, c * d), the same operations in the same order either way.
-
-
 def _subject_partials(
-    r_re: np.ndarray, r_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray, out=(None, None)
+    r_re: np.ndarray, r_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_s(r, o): the partials of the score w.r.t. s_re and s_im."""
-    return (
-        _products(r_re, o_re, np.add, r_im, o_im, out[0]),
-        _products(r_re, o_im, np.subtract, r_im, o_re, out[1]),
-    )
+    return r_re * o_re + r_im * o_im, r_re * o_im - r_im * o_re
 
 
 def _relation_partials(
-    s_re: np.ndarray, s_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray, out=(None, None)
+    s_re: np.ndarray, s_im: np.ndarray, o_re: np.ndarray, o_im: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_r(s, o): the partials of the score w.r.t. r_re and r_im."""
-    return (
-        _products(s_re, o_re, np.add, s_im, o_im, out[0]),
-        _products(s_re, o_im, np.subtract, s_im, o_re, out[1]),
-    )
+    return s_re * o_re + s_im * o_im, s_re * o_im - s_im * o_re
 
 
 def _object_partials(
-    s_re: np.ndarray, s_im: np.ndarray, r_re: np.ndarray, r_im: np.ndarray, out=(None, None)
+    s_re: np.ndarray, s_im: np.ndarray, r_re: np.ndarray, r_im: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_o(s, r): the partials of the score w.r.t. o_re and o_im."""
-    return (
-        _products(s_re, r_re, np.subtract, s_im, r_im, out[0]),
-        _products(s_im, r_re, np.add, s_re, r_im, out[1]),
-    )
-
-
-def _products(a, b, op, c, d, out) -> np.ndarray:
-    """op(a * b, c * d) elementwise, into ``out`` (a new array when None)."""
-    out = np.multiply(a, b, out=out)
-    return op(out, c * d, out=out)
+    return s_re * r_re - s_im * r_im, s_im * r_re + s_re * r_im
 
 
 # --- Checkpoint format --------------------------------------------------

@@ -6,9 +6,10 @@ a corruption scores as its replacement entity's row times the partial of
 the side it replaced, and the corruptions' pull on the kept entities and
 the relation is summed per positive before the partials are applied.
 The corruptions are scored in blocks of a fixed number of rows into one
-preallocated array, and the partials are written straight into the
-preallocated blocks the scatter reads, so no temporary grows with the
-number of corruptions times the embedding width. Gradient rows are
+preallocated array, so no temporary grows with the number of
+corruptions times the embedding width; the partials, one row per
+positive, are plain (n, k) arrays copied by slice assignment into the
+[re|im] block the scatter reads. Gradient rows are
 summed into dense tables by sparse one-hot products (each output row
 adds its terms in ascending source-row order, so the result is
 deterministic) and applied with one Adam step per batch over all four
@@ -224,7 +225,9 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
     its object ones. With g the positive's loss partial, the gradients
     are s: P_s(r, g o + A_o), o: P_o(g s + A_s, r),
     r: P_r(g s + A_s, o) + P_r(s, A_o), and g_j times the side's partial
-    for each replacement c_j.
+    for each replacement c_j. The entity partials are assigned into the
+    halves of one preallocated (4n, 2k) [re|im] block of scatter rows;
+    the two relation partials are stacked and summed.
 
     Returns (mean loss, positive scores (n,), corruption scores (n, eta),
     gradients of the loss for the tables named in TABLES, in order).
@@ -240,8 +243,8 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
     # and then P_o(s, r).
     ent_values = np.empty((4 * n, 2 * k))
     side_partials = ent_values[2 * n :]
-    _subject_partials(r_re, r_im, o_re, o_im, out=_halves(side_partials[:n]))
-    _object_partials(s_re, s_im, r_re, r_im, out=_halves(side_partials[n:]))
+    side_partials[:n, :k], side_partials[:n, k:] = _subject_partials(r_re, r_im, o_re, o_im)
+    side_partials[n:, :k], side_partials[n:, k:] = _object_partials(s_re, s_im, r_re, r_im)
 
     owner = np.repeat(np.arange(n), eta)
     subject_side = neg[:, 0] != s[owner]
@@ -264,12 +267,12 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
     (as_re, as_im), (ao_re, ao_im) = _halves(a[:n]), _halves(a[n:])
     ks_re, ks_im = g * s_re + as_re, g * s_im + as_im
     ko_re, ko_im = g * o_re + ao_re, g * o_im + ao_im
-    _subject_partials(r_re, r_im, ko_re, ko_im, out=_halves(ent_values[:n]))
-    _object_partials(ks_re, ks_im, r_re, r_im, out=_halves(ent_values[n : 2 * n]))
-    rel_values, rel_o = np.empty((n, 2 * k)), np.empty((n, 2 * k))
-    _relation_partials(ks_re, ks_im, o_re, o_im, out=_halves(rel_values))
-    _relation_partials(s_re, s_im, ao_re, ao_im, out=_halves(rel_o))
-    rel_values += rel_o
+    ent_values[:n, :k], ent_values[:n, k:] = _subject_partials(r_re, r_im, ko_re, ko_im)
+    ent_values[n : 2 * n, :k], ent_values[n : 2 * n, k:] = _object_partials(
+        ks_re, ks_im, r_re, r_im
+    )
+    rel_values = np.hstack(_relation_partials(ks_re, ks_im, o_re, o_im))
+    rel_values += np.hstack(_relation_partials(s_re, s_im, ao_re, ao_im))
     grad_ent = _sum_rows(
         ent_values,
         np.concatenate((s, o, replacement)),
@@ -302,9 +305,9 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
     adam = {name: AdamState.for_params(getattr(model, name)) for name in TABLES}
     history: list[str] = []
     has_validation = len(splits.validation) > 0
-    best_model = model.copy()
-    best_mrr = float("nan")
-    if has_validation:
+    best_model, best_mrr = model, float("nan")
+    if has_validation:  # the snapshot is a copy, as training writes the tables in place
+        best_model = model.copy()
         known = splits.all_known()
         best_mrr = evaluate_ranking(model, splits.validation, known).mrr
         history.append(f"check\t0\t{best_mrr!r}")
@@ -342,7 +345,6 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
                 best_model = model.copy()
                 bad_checks = 0
 
-    final = best_model if has_validation else model
     return TrainingResult(
-        model=final, history=tuple(history), epochs_run=epochs_run, best_mrr=best_mrr
+        model=best_model, history=tuple(history), epochs_run=epochs_run, best_mrr=best_mrr
     )

@@ -30,6 +30,7 @@ from occlukg.cli import (
     render_training_config,
     training_config_from_mapping,
 )
+from occlukg.bayes import predict_frame, predictions_jsonl
 from occlukg.kg import build_linked_kg, import_kg_tsv
 from occlukg.kge.model import load_checkpoint, score_triple
 from occlukg.kge.train import TrainingConfig
@@ -567,18 +568,21 @@ class TestExperiment:
 
 
 class TestPredict:
-    def test_prints_one_record_per_hypothesis(self, corpus_dir, model_path, capsys):
+    def test_prints_the_frames_predictions_jsonl_record(self, corpus_dir, model_path, capsys):
         scene = sorted(corpus_dir.glob("*.xml"))[0]
         code = main(["predict", "--model", str(model_path), "--scene", str(scene),
                      "--frame", "0", "--horizon", "2"])
         assert code == EXIT_OK
-        records = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
-        assert len(records) == 3
-        assert {r["label"] for r in records} == {
+        out = capsys.readouterr().out
+        [record] = [json.loads(ln) for ln in out.splitlines()]
+        assert [h["label"] for h in record["hypotheses"]] == [
             "PedestrianOccluded", "PedestrianNotOccluded", "NonePedestrian",
-        }
-        assert len({r["predicted"] for r in records}) == 1
-        assert all(r["horizon"] == 2 for r in records)
+        ]
+        assert record["horizon"] == 2
+        model = load_checkpoint(model_path.read_bytes(),
+                                Path(str(model_path) + ".vocab").read_bytes())
+        doc = parse_scene_xml(scene.read_bytes())
+        assert out == predictions_jsonl([predict_frame(model, doc, 0, horizon=2)])
 
     def test_frame_out_of_range(self, corpus_dir, model_path):
         scene = sorted(corpus_dir.glob("*.xml"))[0]

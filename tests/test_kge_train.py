@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 from occlukg.kg import TripleSplit, build_linked_kg
 from occlukg.kge.model import (
     TABLES,
+    _object_partials,
+    _relation_partials,
     _score_arrays,
+    _subject_partials,
     init_embeddings,
     score_batch,
     score_gradient,
@@ -434,6 +437,49 @@ class TestBatchStepOracle:
         assert len(got[3]) == len(want[3]) == len(TABLES)
         for name, g_got, g_want in zip(TABLES, got[3], want[3]):
             assert np.array_equal(g_got, g_want), name
+
+
+class TestPartialHelpers:
+    """The per-side partial helpers and score_gradient, bit for bit against reference_partials."""
+
+    @staticmethod
+    def assert_helpers_match(s_re, s_im, r_re, r_im, o_re, o_im):
+        want = reference_partials(s_re, s_im, r_re, r_im, o_re, o_im)
+        got = {}
+        got["s_re"], got["s_im"] = _subject_partials(r_re, r_im, o_re, o_im)
+        got["r_re"], got["r_im"] = _relation_partials(s_re, s_im, o_re, o_im)
+        got["o_re"], got["o_im"] = _object_partials(s_re, s_im, r_re, r_im)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].shape == s_re.shape
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_single_rows_and_score_gradient(self, small_kg):
+        model = init_embeddings(small_kg, 8, seed=23)
+        rng = np.random.default_rng(23)
+        idx = small_kg.to_index_array()
+        for si, ri, oi in idx[rng.integers(len(idx), size=20)]:
+            rows = (model.ent_re[si], model.ent_im[si], model.rel_re[ri], model.rel_im[ri],
+                    model.ent_re[oi], model.ent_im[oi])
+            self.assert_helpers_match(*rows)
+            got = score_gradient(
+                model, model.entities[si], model.relations[ri], model.entities[oi]
+            )
+            want = reference_partials(*rows)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert np.array_equal(got[key], want[key]), key
+
+    def test_blocks_of_rows(self, small_kg):
+        model = init_embeddings(small_kg, 8, seed=29)
+        rng = np.random.default_rng(29)
+        idx = small_kg.to_index_array()
+        idx = idx[rng.integers(len(idx), size=300)]
+        s, r, o = idx[:, 0], idx[:, 1], idx[:, 2]
+        self.assert_helpers_match(
+            model.ent_re[s], model.ent_im[s], model.rel_re[r], model.rel_im[r],
+            model.ent_re[o], model.ent_im[o],
+        )
 
 
 def make_split(corpus_seed=1, n_docs=3, validation=True):
