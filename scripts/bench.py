@@ -16,7 +16,9 @@ it.  Both sides run under this interpreter, on this machine.
 
 The file records, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: every run's value, each side's median and quartiles,
-the pairs the change won (ties count for neither side), and two verdicts.
+the median and quartiles of the per-pair change/parent ratio (a drift of
+the host that both runs of a pair share cancels in it), the pairs the
+change won (ties count for neither side), and two verdicts.
 ``gain`` holds when the change won at least nine tenths of the pairs and
 the medians differ, in the better direction, by more than the parent's
 quartile spread.  ``within_bound`` holds when the change's median is no
@@ -119,11 +121,13 @@ def compare(metric: dict, runs: list[dict]) -> dict:
     every_run_better = (max(change["values"]) < min(parent["values"]) if lower
                         else min(change["values"]) > max(parent["values"]))
     worsening = -improvement / abs(parent["median"]) if parent["median"] else 0.0
+    ratios = [c / p for p, c in zip(parent["values"], change["values"]) if p]
     return {
         "unit": metric["unit"],
         "better": metric["better"],
         "bound": metric["bound"],
         **sides,
+        "pair_ratio": spread(ratios) if len(ratios) > 1 else None,
         "change_wins": wins,
         "pairs": len(runs),
         "median_change_frac": (change["median"] / parent["median"] - 1.0
@@ -202,10 +206,11 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     for result in record["results"]:
         for name, m in result["metrics"].items():
+            ratio = m["pair_ratio"]["median"] if m["pair_ratio"] else math.nan
             print(f"{result['workload']:<9} {result['seed']:>8} {name:<14} "
                   f"parent {m['parent']['median']:>10.4g}  change {m['change']['median']:>10.4g}  "
-                  f"wins {m['change_wins']}/{m['pairs']}  gain {m['gain']}  "
-                  f"within_bound {m['within_bound']}")
+                  f"pair ratio {ratio:.4f}  wins {m['change_wins']}/{m['pairs']}  "
+                  f"gain {m['gain']}  within_bound {m['within_bound']}")
     return 0
 
 

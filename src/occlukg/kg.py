@@ -9,6 +9,13 @@ split holds only the training graph and the validation triples: only
 the predictor reads the test fold, so no test-scene label reaches
 training or calibration.
 
+A graph is stored as one sorted (n, 3) integer index array over its
+sorted entity and relation vocabularies. Building, linking, the TSV
+round trip and the statistics fill or read that array from flat string
+columns; ``Triple`` objects are built only where a caller reads them
+(``KnowledgeGraph.triples``, cached on first read, and
+``sorted_triples``).
+
 Entity id conventions:
   scene:<scene_id>            one per document
   frame:<scene_id>:<number>   one per frame
@@ -20,11 +27,12 @@ and the four prototypes are unprefixed and shared across scenes.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
+from functools import cached_property
+from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -141,9 +149,6 @@ class Triple(NamedTuple):
     relation: str
     object: str
 
-    def as_tsv(self) -> str:
-        return "\t".join(self)
-
 
 @dataclass(frozen=True)
 class OntologySchema:
@@ -231,34 +236,90 @@ def frame_entity(scene_id: str, frame_number: int) -> str:
 # --- Knowledge graph ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class KnowledgeGraph:
-    """Immutable triple store with dense entity/relation indices.
+    """Read-only triple store: one sorted index array over sorted vocabularies.
 
-    Entities and relations are indexed in sorted id order, so two graphs
-    with equal triple sets are identical structures regardless of the
-    order their source documents were processed in.
+    Entities and relations are indexed in sorted ``str`` order. The
+    triples are held as one read-only (n, 3) array of [subject, relation,
+    object] indices, deduplicated and sorted by row, which is the
+    triples' own (subject, relation, object) order. So two graphs with
+    equal triple sets are identical structures regardless of the order
+    their source documents were processed in, and graphs compare equal
+    by their vocabularies and array. Membership tests pack a row into
+    the int64 key (s·|R| + r)·|E| + o, which rises with the row.
+
+    ``triples``, the frozenset of ``Triple``, is built from the array on
+    first read and cached; it is a view of the array, not a second store.
     """
 
-    triples: frozenset[Triple]
-    entities: tuple[str, ...] = field(init=False)
-    relations: tuple[str, ...] = field(init=False)
-    entity_index: dict[str, int] = field(init=False, repr=False)
-    relation_index: dict[str, int] = field(init=False, repr=False)
+    def __init__(self, triples: Iterable[tuple[str, str, str]] = ()):
+        self._fill([f for s, r, o in triples for f in (s, r, o)])
 
-    def __post_init__(self):
-        triples = frozenset(self.triples)
-        object.__setattr__(self, "triples", triples)
-        relations = set(map(itemgetter(1), triples))
-        unknown = relations - ONTOLOGY.relations.keys()
+    @classmethod
+    def _from_fields(cls, fields: list[str]) -> KnowledgeGraph:
+        """The graph of a flat [subject, relation, object, subject, ...] list."""
+        kg = cls.__new__(cls)
+        kg._fill(fields)
+        return kg
+
+    def _fill(self, fields: list[str]) -> None:
+        relations = sorted(set(islice(fields, 1, None, 3)))
+        unknown = set(relations) - ONTOLOGY.relations.keys()
         if unknown:
             raise KgBuildError(f"unknown relation(s): {', '.join(sorted(unknown))}")
-        ents = sorted(set(map(itemgetter(0), triples)) | set(map(itemgetter(2), triples)))
-        rels = sorted(relations)
-        object.__setattr__(self, "entities", tuple(ents))
-        object.__setattr__(self, "relations", tuple(rels))
-        object.__setattr__(self, "entity_index", {e: i for i, e in enumerate(ents)})
-        object.__setattr__(self, "relation_index", {r: i for i, r in enumerate(rels)})
+        entities = sorted({*islice(fields, 0, None, 3), *islice(fields, 2, None, 3)})
+        self.entities = tuple(entities)
+        self.relations = tuple(relations)
+        self.entity_index = {e: i for i, e in enumerate(entities)}
+        self.relation_index = {r: i for i, r in enumerate(relations)}
+        columns = cycle((self.entity_index, self.relation_index, self.entity_index))
+        codes = np.fromiter(map(dict.__getitem__, columns, fields), np.int64, len(fields))
+        # Deduplicated by sorting, so each key's first copy rises above its
+        # predecessor (numpy's hash-based np.unique is many times slower).
+        keys = np.sort(self._packed(codes.reshape(-1, 3)))
+        keys = keys[np.diff(keys, prepend=-1) > 0]
+        s, rest = np.divmod(keys, len(relations) * len(entities))
+        r, o = np.divmod(rest, len(entities))
+        self._index = np.stack((s, r, o), axis=1).astype(np.int32)
+        self._index.flags.writeable = False
+
+    def _packed(self, index: np.ndarray) -> np.ndarray:
+        """The key (s·|R| + r)·|E| + o of each row of an (n, 3) index array."""
+        s, r, o = index.astype(np.int64, copy=False).T
+        return (s * self.n_relations + r) * self.n_entities + o
+
+    def _has(self, triples: Iterable[tuple[str, str, str]]) -> np.ndarray:
+        """Whether each of ``triples`` is in the graph, by packed-key lookup."""
+        ent, rel = self.entity_index, self.relation_index
+        codes = np.array(
+            [i for s, r, o in triples for i in (ent.get(s, -1), rel.get(r, -1), ent.get(o, -1))],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        keys, queries = self._packed(self._index), self._packed(codes)
+        # The keys rise with the row, so a binary search lands on each key
+        # present, and any other query lands on a different key or past the end.
+        found = np.append(keys, -1)[np.searchsorted(keys, queries)] == queries
+        return (codes >= 0).all(axis=1) & found
+
+    def _fields(self) -> list[str]:
+        """[subject, relation, object, subject, ...] of the triples in sorted order."""
+        names = np.array(self.entities + self.relations, dtype=object)
+        return names[(self._index + (0, self.n_entities, 0)).ravel()].tolist()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KnowledgeGraph):
+            return NotImplemented
+        return (
+            self.entities == other.entities
+            and self.relations == other.relations
+            and np.array_equal(self._index, other._index)
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"KnowledgeGraph({self.n_triples} triples, {self.n_entities} entities, "
+            f"{self.n_relations} relations)"
+        )
 
     @property
     def n_entities(self) -> int:
@@ -268,39 +329,84 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
+    @property
+    def n_triples(self) -> int:
+        return len(self._index)
+
+    @cached_property
+    def triples(self) -> frozenset[Triple]:
+        return frozenset(self.sorted_triples())
+
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples)
+        fields = iter(self._fields())
+        # tuple.__new__ is what Triple._make calls, without a Python frame per triple.
+        return list(map(tuple.__new__, repeat(Triple), zip(fields, fields, fields)))
 
     def to_index_array(self, triples: Optional[Iterable[Triple]] = None) -> np.ndarray:
-        """(n, 3) int array of [subject, relation, object] dense indices."""
-        source = self.sorted_triples() if triples is None else triples
+        """(n, 3) int64 array of [subject, relation, object] dense indices.
+
+        With no argument, a copy of the graph's own array: every triple
+        once, in sorted order.
+        """
+        if triples is None:
+            return self._index.astype(np.int64)
         ent, rel = self.entity_index, self.relation_index
         # Flat ints, not a row tuple each: ints are not tracked by the
         # garbage collector, so a large graph adds no collections here.
-        flat = [i for s, r, o in source for i in (ent[s], rel[r], ent[o])]
+        flat = [i for s, r, o in triples for i in (ent[s], rel[r], ent[o])]
         return np.array(flat, dtype=np.int64).reshape(-1, 3)
 
 
+# A field holding one of these would split its record when read back.
+_UNWRITABLE = re.compile("[\t\n\r]")
+
+# Bytes of whole lines import_kg_tsv decodes and splits at a time.
+_TSV_CHUNK_BYTES = 1 << 16
+
+
 def export_kg_tsv(kg: KnowledgeGraph) -> bytes:
-    """Sorted, newline-terminated subject/relation/object TSV."""
-    lines = [t.as_tsv() for t in kg.sorted_triples()]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    """Sorted, newline-terminated subject/relation/object TSV.
+
+    A field holding a tab, newline or carriage return raises
+    KgBuildError naming its triple, since it could not be read back.
+    """
+    if any(map(_UNWRITABLE.search, kg.entities)):
+        bad = next(t for t in kg.sorted_triples() if _UNWRITABLE.search("".join(t)))
+        raise KgBuildError(
+            f"triple {tuple(bad)!r} has a field holding a tab, newline or carriage return"
+        )
+    fields = iter(kg._fields())
+    text = "\n".join(map("\t".join, zip(fields, fields, fields)))
+    return (text + "\n").encode("utf-8") if text else b""
 
 
 def import_kg_tsv(data: bytes) -> KnowledgeGraph:
-    """The graph of an export_kg_tsv file; blank lines are skipped."""
-    lines = data.decode("utf-8").splitlines()
-    rows = list(filter(None, lines))
-    # Checked and split in bulk: once every row has exactly two tabs, the
-    # rows joined by tabs split into their fields three at a time.
-    if rows and set(map(str.count, rows, repeat("\t"))) != {2}:
-        for lineno, line in enumerate(lines, start=1):
-            if line and line.count("\t") != 2:
-                raise KgBuildError(f"line {lineno}: expected 3 tab-separated fields")
-    fields = iter("\t".join(rows).split("\t") if rows else ())
-    # tuple.__new__ is what Triple._make calls, without a Python frame per row.
-    triples = frozenset(map(tuple.__new__, repeat(Triple), zip(fields, fields, fields)))
-    return KnowledgeGraph(triples=triples)
+    """The graph of an export_kg_tsv file.
+
+    Records end at "\\n", and one "\\r" before it is dropped; blank
+    records are skipped. The data is decoded and split a chunk of whole
+    lines at a time, and each field is mapped through one dict, so each
+    distinct string is held once however often it occurs.
+    """
+    fields: list[str] = []
+    interned: dict[str, str] = {}
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _TSV_CHUNK_BYTES) + 1 or len(data)
+        lines = data[start:end].decode("utf-8").replace("\r\n", "\n").split("\n")
+        rows = list(filter(None, lines))
+        # Checked and split in bulk: once every row has exactly two tabs, the
+        # rows joined by tabs split into their fields three at a time.
+        if rows and set(map(str.count, rows, repeat("\t"))) != {2}:
+            first = data.count(b"\n", 0, start) + 1
+            for lineno, line in enumerate(lines, start=first):
+                if line and line.count("\t") != 2:
+                    raise KgBuildError(f"line {lineno}: expected 3 tab-separated fields")
+        if rows:
+            parts = "\t".join(rows).split("\t")
+            fields.extend(map(interned.setdefault, parts, parts))
+        start = end
+    return KnowledgeGraph._from_fields(fields)
 
 
 # --- Building -----------------------------------------------------------
@@ -348,7 +454,8 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
     against the ontology, through one triple per (relation, subject kind,
     object kind) signature.
     """
-    triples: set[Triple] = set()
+    fields: list[str] = []
+    add = fields.extend
     seen_ids: set[str] = set()
     for doc in corpus:
         sid = doc.scene_id
@@ -363,40 +470,41 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
         s_ent = scene_entity(sid)
         ctx = doc.context
         if ctx.zebra_crossing:
-            triples.add(Triple(s_ent, "thereIs", ZEBRA_ENTITY))
-        triples.add(Triple(s_ent, "hasSurroundings", ctx.surroundings._value_))
-        triples.add(Triple(s_ent, "hasLanes", lane_entity(ctx.lanes)))
+            add((s_ent, "thereIs", ZEBRA_ENTITY))
+        add((s_ent, "hasSurroundings", ctx.surroundings._value_))
+        add((s_ent, "hasLanes", lane_entity(ctx.lanes)))
 
         prev_f_ent = None
         for frame in doc.frames:
             f_ent = frame_entity(sid, frame.frame_number)
-            triples.add(Triple(s_ent, "includes", f_ent))
-            triples.add(Triple(f_ent, "contains", frame.pedestrians_scene._value_))
+            add((s_ent, "includes", f_ent))
+            add((f_ent, "contains", frame.pedestrians_scene._value_))
             if prev_f_ent is not None:
-                triples.add(Triple(prev_f_ent, "nextFrame", f_ent))
-                triples.add(Triple(f_ent, "prevFrame", prev_f_ent))
+                add((prev_f_ent, "nextFrame", f_ent))
+                add((f_ent, "prevFrame", prev_f_ent))
             prev_f_ent = f_ent
             for p in frame.pedestrians:
                 p_ent = f"ped:{sid}:{p.pedestrian_id}"
-                triples.add(Triple(p_ent, "hasOcclusionLevel", p.occlusion._value_))
+                add((p_ent, "hasOcclusionLevel", p.occlusion._value_))
             for v in frame.vehicles:
                 v_ent = f"veh:{sid}:{frame.frame_number}:{v.vehicle_id}"
                 state_ent = VEHICLE_STATE_ENTITY[v.state]
-                triples.add(Triple(f_ent, "includes", state_ent))
-                triples.add(Triple(v_ent, "hasState", state_ent))
-                triples.add(Triple(v_ent, "hasBrakingLights", v.braking_lights._value_))
-                triples.add(Triple(v_ent, "hasDistance", v.distance._value_))
-                triples.add(Triple(v_ent, "hasPosition", v.position._value_))
+                add((f_ent, "includes", state_ent))
+                add((v_ent, "hasState", state_ent))
+                add((v_ent, "hasBrakingLights", v.braking_lights._value_))
+                add((v_ent, "hasDistance", v.distance._value_))
+                add((v_ent, "hasPosition", v.position._value_))
 
-    kg = KnowledgeGraph(triples=frozenset(triples))
+    kg = KnowledgeGraph._from_fields(fields)
     # ONTOLOGY.check's verdict depends only on the relation and the two
-    # entity kinds, so one triple per signature stands for all of them.
-    # The signature keys on each kind's string, which hashes in C, where
-    # an EntityKind member would hash through Enum.__hash__.
-    kinds = {e: entity_kind(e)._value_ for e in kg.entities}
-    by_signature = {(t.relation, kinds[t.subject], kinds[t.object]): t for t in kg.triples}
-    for t in by_signature.values():
-        problem = ONTOLOGY.check(t)
+    # entity kinds, so the first triple of each (relation, subject kind,
+    # object kind) signature stands for all of them.
+    _, kinds = np.unique([entity_kind(e)._value_ for e in kg.entities], return_inverse=True)
+    s, r, o = kg._index.T
+    signatures = (r * len(EntityKind) + kinds[s]) * len(EntityKind) + kinds[o]
+    _, firsts = np.unique(signatures, return_index=True)
+    for s, r, o in kg._index[firsts].tolist():
+        problem = ONTOLOGY.check(Triple(kg.entities[s], kg.relations[r], kg.entities[o]))
         if problem:
             raise KgBuildError(f"emitted triple fails ontology check: {problem}")
     return kg
@@ -433,22 +541,22 @@ def link_prototypes(
     deduplicated class-level evidence and label triples for the three
     prototypes and the generic RoadScene entity.
     """
-    triples = set(kg.triples)
-    for doc in corpus:
-        for frame in doc.frames:
-            f_ent = frame_entity(doc.scene_id, frame.frame_number)
-            if f_ent not in kg.entity_index:
-                raise KgBuildError(f"frame entity {f_ent!r} missing from graph")
-            label_triple = Triple(f_ent, "contains", frame.pedestrians_scene._value_)
-            if label_triple not in kg.triples:
-                raise KgBuildError(
-                    f"frame {f_ent!r} lacks its pedestrians_scene triple"
-                )
-            triples.add(
-                Triple(f_ent, "instanceOfSceneClass", PROTOTYPE_FOR_LABEL[frame.pedestrians_scene])
-            )
-    triples |= class_level_triples(corpus)
-    return KnowledgeGraph(triples=frozenset(triples))
+    frames = [
+        (frame_entity(doc.scene_id, frame.frame_number), frame.pedestrians_scene)
+        for doc in corpus
+        for frame in doc.frames
+    ]
+    labelled = kg._has([(f_ent, "contains", label._value_) for f_ent, label in frames])
+    if not labelled.all():
+        f_ent = frames[int(np.argmin(labelled))][0]
+        if f_ent not in kg.entity_index:
+            raise KgBuildError(f"frame entity {f_ent!r} missing from graph")
+        raise KgBuildError(f"frame {f_ent!r} lacks its pedestrians_scene triple")
+    fields = kg._fields()
+    for f_ent, label in frames:
+        fields.extend((f_ent, "instanceOfSceneClass", PROTOTYPE_FOR_LABEL[label]))
+    fields.extend(chain.from_iterable(class_level_triples(corpus)))
+    return KnowledgeGraph._from_fields(fields)
 
 
 def build_linked_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
@@ -481,16 +589,18 @@ class KgStats:
 
 
 def kg_stats(kg: KnowledgeGraph) -> KgStats:
-    per_relation = Counter(t.relation for t in kg.triples)
-    frames_per_label: Counter[str] = Counter()
-    for t in kg.triples:
-        if t.relation == "contains" and entity_kind(t.subject) is EntityKind.FRAME:
-            frames_per_label[t.object] += 1
+    index = kg._index
+    counts = np.bincount(index[:, 1], minlength=kg.n_relations)
+    labels = index[index[:, 1] == kg.relation_index.get("contains", -1)]
+    ents = kg.entities
+    frames_per_label = Counter(
+        ents[o] for s, _, o in labels.tolist() if entity_kind(ents[s]) is EntityKind.FRAME
+    )
     return KgStats(
         n_entities=kg.n_entities,
         n_relations=kg.n_relations,
-        n_triples=len(kg.triples),
-        per_relation=dict(per_relation),
+        n_triples=kg.n_triples,
+        per_relation=dict(zip(kg.relations, counts.tolist())),
         frames_per_label=dict(frames_per_label),
     )
 
@@ -515,7 +625,7 @@ class TripleSplit:
     validation: tuple[Triple, ...]
 
     def all_known(self) -> frozenset[Triple]:
-        return frozenset(self.train) | frozenset(self.validation)
+        return frozenset(chain(self.train, self.validation))
 
 
 @dataclass(frozen=True)

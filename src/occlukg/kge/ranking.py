@@ -43,14 +43,15 @@ def evaluate_ranking(
     """Rank each test triple's subject and object among all entities.
 
     ``filter`` must contain every known-true triple (train, validation
-    and test); a test triple missing from it is an error. The rank of a
-    true completion is 1 + the number of unfiltered other candidates
-    scoring >= it.
+    and test); a test triple missing from it is an error. A set or
+    frozenset is read as it is; any other iterable is copied into one.
+    The rank of a true completion is 1 + the number of unfiltered other
+    candidates scoring >= it.
     """
     test_triples = sorted(set(test))
     if not test_triples:
         raise ValueError("empty test set")
-    filter_set = set(filter)
+    filter_set = filter if isinstance(filter, (set, frozenset)) else set(filter)
     missing = [t for t in test_triples if t not in filter_set]
     if missing:
         raise ValueError(

@@ -63,6 +63,23 @@ def test_spread_wider_than_the_bound_is_unresolved():
     assert not m["resolved"]
 
 
+def test_pair_ratio_is_taken_within_each_pair():
+    # both sides drift together: each side's spread is wide, the per-pair ratio is not
+    m = bench.compare(WALL, runs("wall_s", [1.0, 2.0, 3.0, 4.0], [0.9, 1.8, 2.7, 3.6]))
+    assert m["pair_ratio"]["values"] == pytest.approx([0.9] * 4)
+    assert m["pair_ratio"]["median"] == pytest.approx(0.9)
+    assert m["pair_ratio"]["q3"] - m["pair_ratio"]["q1"] == pytest.approx(0.0, abs=1e-12)
+    # the verdicts still rest on each side's own spread
+    assert m["change_wins"] == 4
+    assert not m["gain"] and not m["resolved"] and m["within_bound"]
+
+
+def test_pair_ratio_skips_pairs_whose_parent_reads_zero():
+    m = bench.compare(WALL, runs("wall_s", [0.0, 2.0, 4.0], [1.0, 1.0, 3.0]))
+    assert m["pair_ratio"]["values"] == pytest.approx([0.5, 0.75])
+    assert bench.compare(WALL, runs("wall_s", [0.0, 2.0], [1.0, 1.0]))["pair_ratio"] is None
+
+
 def test_change_snapshot_holds_the_working_tree_and_leaves_the_index(tmp_path, monkeypatch):
     repo = tmp_path / "repo"
     repo.mkdir()

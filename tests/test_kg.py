@@ -1,6 +1,7 @@
 """Knowledge-graph compilation, prototype linkage, splits, TSV format."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -272,6 +273,19 @@ class TestPrototypes:
         with pytest.raises(KgBuildError, match="missing"):
             link_prototypes(kg, [visible_ped_doc])
 
+    def test_linking_requires_each_frames_label_triple(self, minimal_doc, visible_ped_doc):
+        kg = build_kg([minimal_doc])
+        unlabelled = KnowledgeGraph(
+            triples=[t for t in kg.sorted_triples() if t.relation != "contains"]
+        )
+        f_ent = frame_entity("scene-0001", 0)
+        assert f_ent in unlabelled.entity_index
+        with pytest.raises(KgBuildError, match=f"frame '{f_ent}' lacks its pedestrians_scene"):
+            link_prototypes(unlabelled, [minimal_doc, visible_ped_doc])
+        # the first failing frame in corpus order decides which error is raised
+        with pytest.raises(KgBuildError, match="frame entity 'frame:scene-visible:0' missing"):
+            link_prototypes(unlabelled, [visible_ped_doc, minimal_doc])
+
 
 class TestKnowledgeGraph:
     def test_unknown_relation_rejected(self):
@@ -340,6 +354,33 @@ class TestTsv:
         assert all(type(t) is Triple for t in kg.triples)
         with pytest.raises(KgBuildError, match="line 4: expected 3"):
             import_kg_tsv(b"\na\tthereIs\tb\n\na\tthereIs\tb\tc\n")
+
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_ids_holding_other_line_breaks_round_trip(self, char):
+        kg = KnowledgeGraph(triples=[(f"a{char}b", "thereIs", char), ("a", "thereIs", "b")])
+        assert import_kg_tsv(export_kg_tsv(kg)) == kg
+
+    @pytest.mark.parametrize("char", ["\t", "\n", "\r"])
+    def test_unwritable_field_names_its_triple(self, char):
+        bad = (f"x{char}y", "thereIs", "b")
+        kg = KnowledgeGraph(triples=[("a", "thereIs", "b"), bad])
+        with pytest.raises(KgBuildError, match=re.escape(repr(bad))):
+            export_kg_tsv(kg)
+
+    def test_carriage_return_is_field_text_unless_it_ends_the_record(self):
+        kg = import_kg_tsv(b"a\rb\tthereIs\tc\r\r\nd\tthereIs\te\r")
+        assert kg.triples == {Triple("a\rb", "thereIs", "c\r"), Triple("d", "thereIs", "e\r")}
+
+    def test_line_numbers_count_across_chunks(self):
+        lines = [f"e{i}\tthereIs\tz".encode() for i in range(20_000)]
+        good = b"\n".join(lines) + b"\n"
+        assert len(good) > 4 * 65536
+        assert import_kg_tsv(good.replace(b"\n", b"\r\n")) == import_kg_tsv(good)
+        lines[15_000] = b"bad"
+        with pytest.raises(KgBuildError, match="line 15001: expected 3"):
+            import_kg_tsv(b"\r\n".join(lines))
 
 
 class TestStats:
