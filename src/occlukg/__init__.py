@@ -61,7 +61,6 @@ from .bayes import (
     FramePrediction,
     Hypothesis,
     PosteriorReport,
-    extract_evidence,
     posterior,
     predict_frame,
 )

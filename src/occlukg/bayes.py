@@ -10,10 +10,10 @@ modelling convenience, not a coherent joint distribution, so the raw
 posterior can exceed 1 and is clamped (and flagged) for decisions.
 
 ``posterior`` (through ``_score``) is the one place that turns factors
-into a prior, denominator, raw and clamped value, in both denominator
-modes. A hypothesis whose prototype the model lacks scores 0 and cannot
-win, and the mixture denominator sums only over the hypotheses whose
-prototype is present.
+into a prior, denominator, raw and clamped value. The denominator is
+the product of the evidence marginals, the same for a frame's three
+hypotheses, so it rescales them alike. A hypothesis whose prototype the
+model lacks scores 0 and cannot win.
 
 Prediction reads the same few dozen triples on every frame, so they
 are computed once per (model, calibration) and kept in one memo,
@@ -47,8 +47,6 @@ from .kge.model import ComplexModel
 from .scenes import RoadSceneDocument, SceneLabel
 
 DEFAULT_HORIZON = 30
-
-DENOMINATOR_MODES = ("marginal", "mixture")
 
 
 @dataclass(frozen=True)
@@ -108,11 +106,10 @@ class PosteriorReport:
     raw: float
     clamped: float
     clamp_flagged: bool
-    denominator_mode: str
     predicted_label: Optional[SceneLabel] = None
 
     def recompute_raw(self) -> float:
-        """Re-derive raw from recorded factors (exact in marginal mode)."""
+        """Re-derive raw from the recorded prior, factors and denominator (exact)."""
         return self.prior * _product(f.conditional for f in self.factors) / self.denominator
 
     def to_record(self) -> dict:
@@ -122,7 +119,7 @@ class PosteriorReport:
             "label": self.hypothesis.label._value_,
             "prior": self.prior,
             "denominator": self.denominator,
-            "denominator_mode": self.denominator_mode,
+            "denominator_mode": "marginal",  # the one mode; kept in the line format
             "raw": self.raw,
             "clamped": self.clamped,
             "clamp_flagged": self.clamp_flagged,
@@ -140,36 +137,12 @@ class PosteriorReport:
         }
 
 
-def _frame(doc: RoadSceneDocument, frame_index: int):
-    if not 0 <= frame_index < len(doc.frames):
-        raise IndexError(
-            f"frame_index {frame_index} out of range for {len(doc.frames)} frames"
-        )
-    return doc.frames[frame_index]
-
-
-def extract_evidence(doc: RoadSceneDocument, frame_index: int) -> list[EvidenceItem]:
-    """Evidence items for one frame: context first, then vehicles by id."""
-    return [
-        EvidenceItem(relation=rel, object=obj, source=EvidenceSource(src))
-        for rel, obj, src in frame_evidence_pairs(doc, _frame(doc, frame_index))
-    ]
-
-
 def _probability(model: ComplexModel, subject: str, relation: str, object: str) -> float:
     """triple_probability of a triple; ValueError if it fails the ontology check."""
     problem = ONTOLOGY.check(Triple(subject, relation, object))
     if problem:
         raise ValueError(f"triple fails ontology check: {problem}")
     return triple_probability(model, subject, relation, object)
-
-
-def _prior(model: ComplexModel, memo: dict, i: int) -> float:
-    """Calibrated probability of <RoadScene, contains, HYPOTHESES[i]'s label>, memoized under i."""
-    p = memo.get(i)
-    if p is None:
-        p = memo[i] = _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[i])
-    return p
 
 
 class _Row:
@@ -205,51 +178,35 @@ class _Row:
 _ZERO_SCORE = (0.0, (), 1.0, 0.0, 0.0, False)
 
 
-def _score(
-    model: ComplexModel, memo: dict, i: int, rows: Sequence[_Row], denominator: str
-) -> tuple:
+def _score(model: ComplexModel, memo: dict, i: int, rows: Sequence[_Row]) -> tuple:
     """PosteriorReport's (prior, factors, denominator, raw, clamped, clamp_flagged)
     for HYPOTHESES[i] over usable rows; see ``posterior``."""
-    index = model.entity_index
-    if _PROTOTYPES[i] not in index:
+    if _PROTOTYPES[i] not in model.entity_index:
         return _ZERO_SCORE
     factors = tuple([row.factors[i] for row in rows])
     num = _product([f.conditional for f in factors])
-    if denominator == "marginal":
-        den = _product([f.marginal for f in factors])
-    else:
-        den = 0.0
-        for j, proto in enumerate(_PROTOTYPES):
-            if proto in index:
-                den += _prior(model, memo, j) * _product(
-                    [row.factors[j].conditional for row in rows]
-                )
-    p_h = _prior(model, memo, i)
+    den = _product([f.marginal for f in factors])
+    # the prior of HYPOTHESES[i] is memoized under i
+    p_h = memo.get(i)
+    if p_h is None:
+        p_h = memo[i] = _probability(model, ROAD_SCENE, "contains", _LABEL_VALUES[i])
     raw = p_h * num / den
     clamped = min(max(raw, 0.0), 1.0)
     return p_h, factors, den, raw, clamped, clamped != raw
 
 
 def posterior(
-    model: ComplexModel,
-    h: Hypothesis,
-    evidence: Sequence[EvidenceItem],
-    denominator: str = "marginal",
+    model: ComplexModel, h: Hypothesis, evidence: Sequence[EvidenceItem]
 ) -> PosteriorReport:
-    """P(h)·Π P(e_i|h) / D with D per the chosen denominator mode.
+    """P(h)·Π P(e_i|h) / Π P(e_i), the marginals against RoadScene.
 
-    "marginal": D = Π P(e_i) against the generic RoadScene subject
-    (empty product = 1, so no evidence reproduces the prior exactly).
-    "mixture": D = Σ_h' P(h')·Π P(e_i|h') over the hypotheses whose
-    prototype the model has, which normalizes their posteriors to a
-    proper distribution. Raw values above 1 (possible in marginal mode:
-    the factors are calibrated scores, not a joint law) are clamped and
-    flagged. If the model lacks h's prototype the report is all zero:
-    prior 0, no factors, denominator 1. Every evidence object must be
-    in the model vocabulary (``predict_frame`` drops those that are not).
+    The empty product is 1, so no evidence reproduces the prior exactly.
+    Raw values above 1 (possible: the factors are calibrated scores, not
+    a joint law) are clamped and flagged. If the model lacks h's
+    prototype the report is all zero: prior 0, no factors, denominator
+    1. Every evidence object must be in the model vocabulary
+    (``predict_frame`` drops those that are not).
     """
-    if denominator not in DENOMINATOR_MODES:
-        raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
     memo = model.memo()
     rows = []
     for e in evidence:
@@ -258,8 +215,7 @@ def posterior(
         if not row.usable:
             raise KeyError(e.object)
         rows.append(row)
-    return PosteriorReport(h, *_score(model, memo, HYPOTHESES.index(h), rows, denominator),
-                           denominator)
+    return PosteriorReport(h, *_score(model, memo, HYPOTHESES.index(h), rows))
 
 
 @dataclass(frozen=True)
@@ -311,21 +267,25 @@ def predict_frame(
     from frame min(t+horizon, last); running past the end sets the
     truncated flag. Evidence whose value entity is missing from the
     model vocabulary is dropped (and recorded) rather than scored.
+    ``denominator`` accepts only "marginal", the one denominator (see
+    ``posterior``); ``perfbench`` still passes it by name.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if denominator not in DENOMINATOR_MODES:
-        raise ValueError(f"denominator must be one of {DENOMINATOR_MODES}")
+    if denominator != "marginal":
+        raise ValueError("denominator must be 'marginal'")
+    if not 0 <= t < len(doc.frames):
+        raise IndexError(f"frame_index {t} out of range for {len(doc.frames)} frames")
     memo = model.memo()
     usable: list[_Row] = []
     dropped: list[EvidenceItem] = []
-    for pair in frame_evidence_pairs(doc, _frame(doc, t)):
+    for pair in frame_evidence_pairs(doc, doc.frames[t]):
         row = memo.get(pair) or memo.setdefault(pair, _Row(model, *pair))
         if row.usable:
             usable.append(row)
         else:
             dropped.append(row.item)
-    scores = [_score(model, memo, i, usable, denominator) for i in range(len(HYPOTHESES))]
+    scores = [_score(model, memo, i, usable) for i in range(len(HYPOTHESES))]
     best = max(range(len(scores)), key=lambda i: scores[i][4])  # first maximum
     predicted = HYPOTHESES[best].label
     last = len(doc.frames) - 1
@@ -337,7 +297,7 @@ def predict_frame(
         truncated=t + horizon > last,
         predicted=predicted,
         ground_truth=doc.frames[min(t + horizon, last)].pedestrians_scene,
-        reports=tuple(PosteriorReport(h, *score, denominator, predicted)
+        reports=tuple(PosteriorReport(h, *score, predicted)
                       for h, score in zip(HYPOTHESES, scores)),
         evidence=tuple(row.item for row in usable),
         dropped_evidence=tuple(dropped),

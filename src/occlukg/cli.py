@@ -19,7 +19,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bayes import DEFAULT_HORIZON, DENOMINATOR_MODES, predict_frame, predictions_jsonl
+from .bayes import DEFAULT_HORIZON, predict_frame, predictions_jsonl
 from .harness import (
     ExperimentSpec,
     render_report,
@@ -257,8 +257,6 @@ def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec
             pair[0 if parts[2] == "train" else 1] = _parse_value(key, value, int)
         elif key in ("horizon", "seed"):
             fields[key] = _parse_value(key, value, int)
-        elif key == "denominator":
-            fields[key] = value
         elif key == "validation_ratio":
             fields[key] = _parse_value(key, value, float)
         elif key == "cross_environment":
@@ -287,7 +285,6 @@ def render_experiment_spec(spec: ExperimentSpec, cross: bool) -> str:
         "test_environments": ",".join(e.value for e in spec.test_environments),
         "horizon": spec.horizon,
         "seed": spec.seed,
-        "denominator": spec.denominator,
         "validation_ratio": spec.validation_ratio,
         "cross_environment": cross,
     }
@@ -462,9 +459,7 @@ def cmd_predict(args) -> int:
         Path(args.model).read_bytes(), _vocab_path(args.model).read_bytes()
     )
     doc = parse_scene_xml(Path(args.scene).read_bytes())
-    prediction = predict_frame(
-        model, doc, args.frame, horizon=args.horizon, denominator=args.denominator
-    )
+    prediction = predict_frame(model, doc, args.frame, horizon=args.horizon)
     print(predictions_jsonl([prediction]), end="")
     return EXIT_OK
 
@@ -532,12 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", required=True, help="scene .xml path")
     p.add_argument("--frame", type=int, required=True, help="frame index (0-based)")
     p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON, help="look-ahead in frames")
-    p.add_argument(
-        "--denominator",
-        choices=DENOMINATOR_MODES,
-        default="marginal",
-        help="evidence denominator mode",
-    )
     p.set_defaults(func=cmd_predict)
     return parser
 

@@ -198,7 +198,7 @@ def uninformative_config(base: Optional[GeneratorConfig] = None) -> GeneratorCon
     """Variant whose context/vehicle CPTs ignore the scene label.
 
     Every label-conditioned row is replaced by the prior-weighted
-    mixture of the base rows, so feature marginals match the base
+    average of the base rows, so feature marginals match the base
     corpus while carrying zero label signal. Occlusion rows are kept:
     they only shape annotations inside pedestrian scenes.
     """

@@ -219,11 +219,13 @@ class TestExperimentSpecMapping:
         assert spec.label() == "Mixed->Real"
 
     def test_bad_denominator(self):
-        with pytest.raises(ConfigError, match="denominator"):
-            experiment_spec_from_mapping({
-                "counts.Virtual.train": "3", "counts.Virtual.test": "1",
-                "denominator": "bogus",
-            })
+        # the one denominator is not configurable: the key itself is unknown
+        for value in ("mixture", "marginal"):
+            with pytest.raises(ConfigError, match="unknown configuration key 'denominator'"):
+                experiment_spec_from_mapping({
+                    "counts.Virtual.train": "3", "counts.Virtual.test": "1",
+                    "denominator": value,
+                })
 
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -548,6 +550,17 @@ class TestExperiment:
         assert "unknown configuration key 'calibrate'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["mixture", "marginal"])
+    def test_removed_denominator_key_rejected(self, corpus_dir, tmp_path, capsys, value):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_CONFIG + f"denominator = {value}\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["experiment", "--corpus", str(corpus_dir), "--spec", str(spec),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown configuration key 'denominator'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_without_counts(self, corpus_dir, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("horizon = 3\n", encoding="utf-8")
@@ -607,11 +620,13 @@ class TestPredict:
         assert code == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
 
-    def test_bad_denominator_choice(self, corpus_dir, model_path):
+    def test_bad_denominator_choice(self, corpus_dir, model_path, capsys):
+        # the flag is gone, so even the one denominator is an unknown argument
         scene = sorted(corpus_dir.glob("*.xml"))[0]
         code = main(["predict", "--model", str(model_path), "--scene", str(scene),
-                     "--frame", "0", "--denominator", "bogus"])
+                     "--frame", "0", "--denominator", "marginal"])
         assert code == EXIT_USAGE
+        assert "unrecognized arguments: --denominator" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -151,8 +151,13 @@ class TestExperimentSpec:
             small_spec(horizon=-1)
 
     def test_bad_denominator(self):
-        with pytest.raises(ValueError, match="denominator"):
-            small_spec(denominator="bogus")
+        # the one denominator is a class attribute, not a field
+        for value in ("mixture", "marginal"):
+            with pytest.raises(TypeError, match="denominator"):
+                small_spec(denominator=value)
+            with pytest.raises(TypeError, match="denominator"):
+                dataclasses.replace(small_spec(), denominator=value)
+        assert "denominator" not in small_spec().echo()
 
     def test_bad_validation_ratio(self):
         with pytest.raises(ValueError, match="validation_ratio"):
