@@ -22,11 +22,13 @@ import numpy as np
 from .bayes import DEFAULT_HORIZON, predict_frame, predictions_jsonl
 from .harness import (
     ExperimentSpec,
+    fit_calibration,
     render_report,
     run_cross_environment,
     run_experiment_with_predictions,
 )
 from .kg import (
+    DEFAULT_VALIDATION_RATIO,
     KgBuildError,
     SplitError,
     TripleSplit,
@@ -370,7 +372,7 @@ def cmd_build_kg(args) -> int:
 
 def cmd_train(args) -> int:
     raw = _read_config_file(args.config)
-    validation_ratio = 0.1
+    validation_ratio = DEFAULT_VALIDATION_RATIO
     if "validation_ratio" in raw:
         validation_ratio = _parse_value(
             "validation_ratio", raw.pop("validation_ratio"), float
@@ -400,6 +402,7 @@ def cmd_train(args) -> int:
     )
 
     result = train(split, config)
+    fit_calibration(result.model, split)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     blob, sidecar = save_checkpoint(result.model)
@@ -499,13 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-epochs", type=int, help="epoch cap (default 500)")
     p.add_argument("--check-every", type=int, help="MRR check interval (default 10)")
     p.add_argument("--patience", type=int, help="checks without improvement (default 5)")
-    p.add_argument("--temperature", type=float, dest="adversarial_temperature",
-                   metavar="TEMPERATURE", help="adversarial temperature (default 1)")
     p.add_argument("--seed", type=int, help="training seed (default 0)")
     p.add_argument(
         "--validation-ratio",
         type=float,
-        help="held-out triple fraction for early stopping (default 0.1)",
+        help=f"held-out triple fraction for early stopping (default {DEFAULT_VALIDATION_RATIO})",
     )
     p.set_defaults(func=cmd_train)
 

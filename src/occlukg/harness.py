@@ -15,6 +15,7 @@ from typing import ClassVar, Mapping, Sequence
 
 from .bayes import DEFAULT_HORIZON, FramePrediction, predict_frame
 from .kg import (
+    DEFAULT_VALIDATION_RATIO,
     PROTO_NO_PED,
     PROTO_OCCLUDED,
     PROTO_VISIBLE,
@@ -22,10 +23,12 @@ from .kg import (
     FoldAssignment,
     SplitError,
     Triple,
+    TripleSplit,
     assign_folds,
     make_split,
 )
 from .kge.calibrate import CalibrationResult, calibrate
+from .kge.model import ComplexModel
 from .kge.train import TrainingConfig, train
 from .scenes import Environment, RoadSceneDocument, SceneLabel
 
@@ -37,8 +40,8 @@ class ExperimentSpec:
     """One train/predict run: environment selection plus all knobs.
 
     Every run fits the trained model's probability map on the pattern
-    grid of its training graph (see ``_calibration_sets``) before
-    predicting; a grid without a negative keeps the identity map.
+    grid of its training graph (see ``fit_calibration``) before
+    predicting.
     """
 
     train_environments: tuple[Environment, ...]
@@ -47,7 +50,7 @@ class ExperimentSpec:
     horizon: int = DEFAULT_HORIZON
     training: TrainingConfig = TrainingConfig()
     seed: int = 0
-    validation_ratio: float = 0.1
+    validation_ratio: float = DEFAULT_VALIDATION_RATIO
     # Not a field: the one naive-Bayes denominator, still read by perfbench.
     denominator: ClassVar[str] = "marginal"
 
@@ -203,7 +206,7 @@ class MetricsReport:
         }
 
 
-def _calibration_sets(split) -> tuple[list[Triple], list[Triple]]:
+def _calibration_sets(split: TripleSplit) -> tuple[list[Triple], list[Triple]]:
     """Probability-map fitting sets for the class-pattern triple family.
 
     Posterior inference only ever scores triples whose subject is a
@@ -239,6 +242,22 @@ def _calibration_sets(split) -> tuple[list[Triple], list[Triple]]:
     return positives, negatives
 
 
+def fit_calibration(model: ComplexModel, split: TripleSplit) -> CalibrationResult:
+    """Fit ``model``'s probability map in place on the split's pattern grid.
+
+    A grid without a negative (one training label) leaves the trained
+    model's identity map, flagged as a warning: that label's prototype
+    wins every frame whatever the map.
+    """
+    positives, negatives = _calibration_sets(split)
+    if not negatives:
+        return CalibrationResult(
+            1.0, 0.0, warning=True,
+            message="calibration grid has no negative; using identity map",
+        )
+    return calibrate(model, positives, negatives)
+
+
 def run_experiment_with_predictions(
     corpus: Sequence[RoadSceneDocument], spec: ExperimentSpec
 ) -> tuple[MetricsReport, list[FramePrediction]]:
@@ -261,16 +280,7 @@ def run_experiment_with_predictions(
     split = make_split(restricted)
     result = train(split, spec.training)
     model = result.model
-
-    positives, negatives = _calibration_sets(split)
-    if negatives:
-        cal = calibrate(model, positives, negatives)
-    else:
-        # one training label: its prototype wins every frame whatever the map
-        cal = CalibrationResult(
-            1.0, 0.0, warning=True,
-            message="calibration grid has no negative; using identity map",
-        )
+    cal = fit_calibration(model, split)
 
     cm = ConfusionMatrix()
     env_cms: dict[str, ConfusionMatrix] = {}

@@ -637,6 +637,11 @@ class FoldAssignment:
     test: tuple[RoadSceneDocument, ...]
 
 
+# The validation share of an experiment's training scenes and of
+# `occlukg train`'s triples, unless a spec, config or flag sets another.
+DEFAULT_VALIDATION_RATIO = 0.1
+
+
 def validation_count(validation_ratio: float, n: int) -> int:
     """How many of n items to hold out for validation.
 
@@ -655,7 +660,7 @@ def assign_folds(
     corpus: Sequence[RoadSceneDocument],
     counts: Mapping[Environment, tuple[int, int]],
     seed: int,
-    validation_ratio: float = 0.1,
+    validation_ratio: float = DEFAULT_VALIDATION_RATIO,
 ) -> FoldAssignment:
     """Assign scenes to train/validation/test folds per environment.
 

@@ -263,6 +263,8 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
+    if k == 0 or n_ent == 0:  # init_tables makes neither
+        raise CheckpointError(f"checkpoint header has k = {k} and {n_ent} entities; need both > 0")
     expected = _HEADER.size + 8 * k * (2 * n_ent + 2 * n_rel)
     if len(blob) != expected:
         raise CheckpointError(

@@ -50,7 +50,6 @@ class TrainingConfig:
     eta: int = 15
     learning_rate: float = 0.0005
     batch_size: int = 8000
-    adversarial_temperature: float = 1.0
     max_epochs: int = 500
     check_every: int = 10
     patience: int = 5
@@ -65,14 +64,18 @@ class TrainingConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.adversarial_temperature > 0:
-            raise ValueError("adversarial_temperature must be > 0")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.check_every < 1:
             raise ValueError("check_every must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+
+
+# Adam's moment decay rates and denominator offset (Kingma & Ba 2015).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -82,9 +85,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray) -> "AdamState":
@@ -96,8 +96,9 @@ def adam_step(
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update, in place on ``params``, ``state.m`` and ``state.v``.
 
-    Computes m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g
-    and params -= lr m_hat / (sqrt(v_hat) + eps) with two scratch arrays,
+    Computes m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    params -= lr m_hat / (sqrt(v_hat) + eps), with b1, b2 and eps the
+    module constants _BETA1, _BETA2 and _EPS, using two scratch arrays,
     each product and sum in the order those expressions give. ``grads``
     must not share memory with ``params`` or the moments.
     """
@@ -108,17 +109,17 @@ def adam_step(
         )
     state.t += 1
     m, v = state.m, state.v
-    step = np.multiply(grads, 1.0 - state.beta1)
-    m *= state.beta1
+    step = np.multiply(grads, 1.0 - _BETA1)
+    m *= _BETA1
     m += step
-    np.multiply(grads, 1.0 - state.beta2, out=step)
+    np.multiply(grads, 1.0 - _BETA2, out=step)
     step *= grads
-    v *= state.beta2
+    v *= _BETA2
     v += step
-    denom = np.divide(v, 1.0 - state.beta2 ** state.t, out=step)
+    denom = np.divide(v, 1.0 - _BETA2 ** state.t, out=step)
     np.sqrt(denom, out=denom)
-    denom += state.eps
-    step = m / (1.0 - state.beta1 ** state.t)
+    denom += _EPS
+    step = m / (1.0 - _BETA1 ** state.t)
     step *= lr
     step /= denom
     params -= step
@@ -148,27 +149,22 @@ def corrupt_batch(
     return neg
 
 
-def self_adversarial_loss(
-    pos_scores: np.ndarray, neg_scores: np.ndarray, temperature: float
-):
+def self_adversarial_loss(pos_scores: np.ndarray, neg_scores: np.ndarray):
     """Mean loss and exact score-partials over a batch of positives.
 
     ``pos_scores`` has shape (n,), ``neg_scores`` (n, eta): row i holds
-    the negatives of positive i. Per row, weights w = softmax(temperature
-    * f_neg) are treated as constants (stop-gradient) and
+    the negatives of positive i. Per row, weights w = softmax(f_neg) are
+    treated as constants (stop-gradient) and
     loss = -log sigma(f_pos) - sum_j w_j log sigma(-f_j).
     Returns (mean loss, d_mean/d_pos (n,), d_mean/d_neg (n, eta)); the
     partials carry the 1/n of the mean.
     """
-    if not temperature > 0:
-        raise ValueError("temperature must be > 0")
     f_pos = np.asarray(pos_scores, dtype=np.float64)
     f_neg = np.asarray(neg_scores, dtype=np.float64)
     if f_neg.ndim != 2 or f_neg.shape[1] == 0:
         raise ValueError("need at least one negative score per positive")
     n = f_pos.shape[0]
-    logits = temperature * f_neg
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits = f_neg - f_neg.max(axis=1, keepdims=True)
     w = np.exp(logits)
     w /= w.sum(axis=1, keepdims=True)
     # -log sigma(x) == softplus(-x), computed stably via logaddexp
@@ -211,7 +207,7 @@ def _halves(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return block[:, :k], block[:, k:]
 
 
-def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperature: float):
+def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray):
     """Loss, scores and table gradients of one batch of positives and their corruptions.
 
     ``neg`` is corrupt_batch's output for ``pos``: eta rows per positive,
@@ -260,7 +256,7 @@ def _batch_step(model: ComplexModel, pos: np.ndarray, neg: np.ndarray, temperatu
             out=neg_scores[block],
         )
     neg_scores = neg_scores.reshape(n, eta)
-    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores, temperature)
+    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores)
 
     g, g_c = d_pos[:, None], d_neg.ravel()
     a = _sum_rows(ent, partial_row, replacement, g_c, 2 * n)  # rows :n A_s, rows n: A_o
@@ -322,7 +318,7 @@ def train(splits: TripleSplit, config: TrainingConfig) -> TrainingResult:
         for batch_no, start in enumerate(range(0, n, config.batch_size)):
             pos = train_idx[order[start : start + config.batch_size]]
             neg = corrupt_batch(pos, config.eta, kg.n_entities, rng)
-            loss, _, _, grads = _batch_step(model, pos, neg, config.adversarial_temperature)
+            loss, _, _, grads = _batch_step(model, pos, neg)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_no} "

@@ -369,16 +369,14 @@ def generate_corpus(config: GeneratorConfig, seed: int) -> list[RoadSceneDocumen
     return docs
 
 
-def asymmetric_corpus(
-    seed: int, base: Optional[GeneratorConfig] = None
-) -> list[RoadSceneDocument]:
-    """Real scenes from the uninformative variant, Virtual from the base.
+def asymmetric_corpus(seed: int) -> list[RoadSceneDocument]:
+    """Real scenes from the uninformative variant, Virtual from the default.
 
     Only the Virtual half carries feature-label correlations, which is
     the planted version of one environment yielding more consistent
     detection than the other.
     """
-    cfg = base if base is not None else default_config()
+    cfg = default_config()
     real_only = dataclasses.replace(
         uninformative_config(cfg),
         n_scenes={Environment.REAL: cfg.n_scenes.get(Environment.REAL, 0)},

@@ -89,22 +89,20 @@ class TestAnalyticGradients:
             n_neg = int(rng.integers(1, 9))
             f_pos = float(rng.uniform(-2.0, 2.0))
             f_neg = rng.uniform(-2.0, 2.0, size=n_neg)
-            temperature = float(rng.uniform(0.5, 2.0))
             # one-row batches: the trainer's batched loss, with n = 1
             row = f_neg[None, :]
-            _, d_pos, d_neg = self_adversarial_loss(np.array([f_pos]), row, temperature)
+            _, d_pos, d_neg = self_adversarial_loss(np.array([f_pos]), row)
             d_pos, d_neg = float(d_pos[0]), d_neg[0]
 
-            up = self_adversarial_loss(np.array([f_pos + h]), row, temperature)[0]
-            down = self_adversarial_loss(np.array([f_pos - h]), row, temperature)[0]
+            up = self_adversarial_loss(np.array([f_pos + h]), row)[0]
+            down = self_adversarial_loss(np.array([f_pos - h]), row)[0]
             numeric_pos = (up - down) / (2.0 * h)
             rel = abs(d_pos - numeric_pos) / max(abs(d_pos), abs(numeric_pos), 1e-12)
             assert rel < 1e-5, f"case {case}, positive side: relative error {rel}"
 
             # The negative-side weights are treated as constants, so the
             # reference function freezes them at the unperturbed scores.
-            logits = temperature * f_neg
-            weights = np.exp(logits - logits.max())
+            weights = np.exp(f_neg - f_neg.max())
             weights = weights / weights.sum()
 
             def frozen_loss(neg):

@@ -1,8 +1,11 @@
 """CLI: flat-config parsing, command round-trips, exit codes."""
 
+import argparse
+import dataclasses
 import importlib
 import json
 import os
+import re
 import shlex
 import shutil
 import struct
@@ -31,8 +34,9 @@ from occlukg.cli import (
     training_config_from_mapping,
 )
 from occlukg.bayes import predict_frame, predictions_jsonl
-from occlukg.kg import build_linked_kg, import_kg_tsv
-from occlukg.kge.model import load_checkpoint, score_triple
+from occlukg.harness import fit_calibration
+from occlukg.kg import DEFAULT_VALIDATION_RATIO, build_linked_kg, import_kg_tsv
+from occlukg.kge.model import ComplexModel, load_checkpoint, save_checkpoint, score_triple
 from occlukg.kge.train import TrainingConfig
 from occlukg.scenes import Environment, SceneLabel, VehicleState, parse_scene_xml
 from occlukg.synth import default_config
@@ -172,8 +176,7 @@ class TestTrainingConfigMapping:
     def test_round_trip(self):
         cfg = TrainingConfig(
             k=7, eta=3, learning_rate=0.01, batch_size=64,
-            adversarial_temperature=2.0, max_epochs=9, check_every=2,
-            patience=1, seed=5,
+            max_epochs=9, check_every=2, patience=1, seed=5,
         )
         text = _render_flat(render_training_config(cfg))
         assert training_config_from_mapping(parse_flat_config(text)) == cfg
@@ -402,7 +405,6 @@ class TestTrain:
             "--max-epochs": ("max_epochs", "4"),
             "--check-every": ("check_every", "2"),
             "--patience": ("patience", "3"),
-            "--temperature": ("adversarial_temperature", "0.7"),
             "--seed": ("seed", "5"),
         }
         defaults = TrainingConfig()
@@ -467,6 +469,79 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "unrecognized arguments: --l2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_removed_temperature_config_key_rejected(self, kg_path, tmp_path, capsys):
+        cfg = tmp_path / "train.txt"
+        cfg.write_text("adversarial_temperature = 1.0\n", encoding="utf-8")
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out), "--config", str(cfg),
+            "--k", "4", "--max-epochs", "1",
+        ])
+        assert code == EXIT_USAGE
+        assert "unknown configuration key 'adversarial_temperature'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_temperature_flag_rejected(self, kg_path, tmp_path, capsys):
+        out = tmp_path / "m.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out),
+            "--k", "4", "--max-epochs", "1", "--temperature", "1.0",
+        ])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments: --temperature" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_defaults_match_the_training_config(self):
+        # the "(default X)" texts are written by hand; each must name the real default
+        [subcommands] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        stated = {}
+        for action in subcommands.choices["train"]._actions:
+            match = re.search(r"\(default ([^)]*)\)", action.help or "")
+            if match:
+                stated[action.dest] = match.group(1)
+        assert stated.pop("validation_ratio") == str(DEFAULT_VALIDATION_RATIO)
+        defaults = dataclasses.asdict(TrainingConfig())
+        assert set(stated) == set(defaults)
+        for name, text in stated.items():
+            assert type(defaults[name])(text) == defaults[name], name
+
+    def test_checkpoint_carries_the_pattern_grid_fit(self, kg_path, tmp_path, monkeypatch):
+        import occlukg.cli as cli_module
+        import occlukg.harness as harness_module
+
+        real_train, real_calibrate = cli_module.train, harness_module.calibrate
+        trained, fits = [], []
+
+        def capture(split, config):
+            result = real_train(split, config)
+            trained.append((split, result.model.copy()))
+            return result
+
+        def recording_calibrate(model, positives, negatives):
+            fits.append(real_calibrate(model, positives, negatives))
+            return fits[-1]
+
+        monkeypatch.setattr(cli_module, "train", capture)
+        # through harness' global, where perfbench wraps it
+        monkeypatch.setattr(harness_module, "calibrate", recording_calibrate)
+        out = tmp_path / "model.npz"
+        code = main([
+            "train", "--kg", str(kg_path), "--out", str(out),
+            "--k", "4", "--eta", "2", "--lr", "0.05", "--batch", "256",
+            "--max-epochs", "2", "--check-every", "1",
+        ])
+        assert code == EXIT_OK
+        [(split, uncalibrated)] = trained
+        assert split.validation
+        [fit] = fits
+        saved = load_checkpoint(out.read_bytes(), Path(str(out) + ".vocab").read_bytes())
+        assert saved.calibration == (fit.a, fit.b) != (1.0, 0.0)
+        assert uncalibrated.calibration == (1.0, 0.0)
+        again = fit_calibration(uncalibrated, split)
+        assert (again.a, again.b) == saved.calibration
 
     def test_missing_kg_file(self, tmp_path):
         assert main(["train", "--kg", str(tmp_path / "nope.tsv"), "--out",
@@ -561,6 +636,17 @@ class TestExperiment:
         assert "unknown configuration key 'denominator'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_removed_training_temperature_key_rejected(self, corpus_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_CONFIG + "training.adversarial_temperature = 1.0\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["experiment", "--corpus", str(corpus_dir), "--spec", str(spec),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "unknown configuration key 'training.adversarial_temperature'" in err
+        assert not out.exists()
+
     def test_spec_without_counts(self, corpus_dir, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
         spec.write_text("horizon = 3\n", encoding="utf-8")
@@ -619,6 +705,20 @@ class TestPredict:
                      "--frame", "0"])
         assert code == EXIT_DATA
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k, entities", [(0, ("a", "b")), (2, ())])
+    def test_empty_checkpoint_is_bad_data(self, corpus_dir, tmp_path, capsys, k, entities):
+        # tables init_tables never makes: no embedding width, or no entity
+        tables = [np.zeros((rows, k)) for rows in (len(entities),) * 2 + (1,) * 2]
+        model = ComplexModel(entities, ("r",), *tables)
+        blob, sidecar = save_checkpoint(model)
+        path = tmp_path / "empty.npz"
+        path.write_bytes(blob)
+        Path(str(path) + ".vocab").write_bytes(sidecar)
+        scene = sorted(corpus_dir.glob("*.xml"))[0]
+        code = main(["predict", "--model", str(path), "--scene", str(scene), "--frame", "0"])
+        assert code == EXIT_DATA
+        assert "need both > 0" in capsys.readouterr().err
 
     def test_bad_denominator_choice(self, corpus_dir, model_path, capsys):
         # the flag is gone, so even the one denominator is an unknown argument

@@ -281,6 +281,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="calibration"):
             load_checkpoint(tampered, sidecar)
 
+    @pytest.mark.parametrize("k, entities", [(0, ("a", "b")), (2, ())])
+    def test_empty_header_rejected(self, k, entities):
+        # a k = 0 model would score every triple as 0.0; init_tables makes neither
+        tables = [np.zeros((rows, k)) for rows in (len(entities),) * 2 + (1,) * 2]
+        blob, sidecar = save_checkpoint(ComplexModel(entities, ("r",), *tables))
+        with pytest.raises(CheckpointError, match=f"k = {k} and {len(entities)} entities"):
+            load_checkpoint(blob, sidecar)
+
     def test_magic_constant(self):
         model = init_tables(("a",), ("r",), k=1, seed=0)
         blob, _ = save_checkpoint(model)

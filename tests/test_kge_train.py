@@ -42,7 +42,6 @@ class TestTrainingConfig:
         assert cfg.eta == 15
         assert cfg.learning_rate == 0.0005
         assert cfg.batch_size == 8000
-        assert cfg.adversarial_temperature == 1.0
         assert cfg.max_epochs == 500
         assert cfg.check_every == 10
         assert cfg.patience == 5
@@ -54,7 +53,6 @@ class TestTrainingConfig:
             ("eta", 0),
             ("learning_rate", 0.0),
             ("batch_size", 0),
-            ("adversarial_temperature", 0.0),
             ("max_epochs", 0),
             ("check_every", 0),
             ("patience", 0),
@@ -141,10 +139,10 @@ class TestAdam:
         assert np.array_equal(state.v, v)
 
 
-def one_row_loss(f_pos, f_neg, temperature):
+def one_row_loss(f_pos, f_neg):
     """The batched loss on a one-row batch (n = 1, so no 1/n), as scalars and one row."""
     loss, d_pos, d_neg = self_adversarial_loss(
-        np.array([f_pos], dtype=float), np.asarray([f_neg], dtype=float), temperature
+        np.array([f_pos], dtype=float), np.asarray([f_neg], dtype=float)
     )
     return loss, float(d_pos[0]), d_neg[0]
 
@@ -153,13 +151,13 @@ class TestSelfAdversarialLoss:
     def test_zero_scores_hand_value(self):
         # softplus(0) for the positive plus weight-1 softplus(0) for the
         # single negative: 2 ln 2
-        loss, d_pos, d_neg = one_row_loss(0.0, [0.0], temperature=1.0)
+        loss, d_pos, d_neg = one_row_loss(0.0, [0.0])
         assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert d_pos == pytest.approx(-0.5)
         assert np.allclose(d_neg, [0.5])
 
     def test_equal_negatives_share_weight(self):
-        loss, _, d_neg = one_row_loss(0.0, [0.0, 0.0], temperature=1.0)
+        loss, _, d_neg = one_row_loss(0.0, [0.0, 0.0])
         assert loss == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
         assert np.allclose(d_neg, [0.25, 0.25])
 
@@ -168,9 +166,8 @@ class TestSelfAdversarialLoss:
         for _ in range(25):
             f_pos = float(rng.normal())
             f_neg = rng.normal(size=4)
-            temp = float(rng.uniform(0.25, 3.0))
-            loss, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
-            w = np.exp(temp * f_neg)
+            loss, d_pos, d_neg = one_row_loss(f_pos, f_neg)
+            w = np.exp(f_neg)
             w /= w.sum()
             expected = -math.log(1 / (1 + math.exp(-f_pos))) - float(
                 np.sum(w * np.log(1 / (1 + np.exp(f_neg))))
@@ -180,29 +177,21 @@ class TestSelfAdversarialLoss:
             assert np.allclose(d_neg, w / (1 + np.exp(-f_neg)), rtol=1e-10)
 
     def test_extreme_scores_stay_finite(self):
-        loss, d_pos, d_neg = one_row_loss(-500.0, [700.0, -700.0], 1.0)
+        loss, d_pos, d_neg = one_row_loss(-500.0, [700.0, -700.0])
         assert np.isfinite(loss)
         assert np.isfinite(d_pos)
         assert np.all(np.isfinite(d_neg))
 
-    def test_high_temperature_concentrates_weight(self):
-        _, _, d_neg = one_row_loss(0.0, [3.0, 0.0], temperature=10.0)
-        assert d_neg[0] > 100 * d_neg[1]
-
     def test_needs_a_negative(self):
         with pytest.raises(ValueError):
-            one_row_loss(0.0, [], temperature=1.0)
-
-    def test_needs_positive_temperature(self):
-        with pytest.raises(ValueError):
-            one_row_loss(0.0, [0.0], temperature=0.0)
+            one_row_loss(0.0, [])
 
     def test_batch_is_the_mean_of_its_rows(self):
         rng = np.random.default_rng(5)
         f_pos = rng.normal(size=6)
         f_neg = rng.normal(size=(6, 3))
-        loss, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg, 1.7)
-        rows = [one_row_loss(f_pos[i], f_neg[i], 1.7) for i in range(6)]
+        loss, d_pos, d_neg = self_adversarial_loss(f_pos, f_neg)
+        rows = [one_row_loss(f_pos[i], f_neg[i]) for i in range(6)]
         assert loss == pytest.approx(np.mean([row[0] for row in rows]), rel=1e-12)
         assert np.allclose(d_pos, [row[1] / 6 for row in rows], rtol=1e-12)
         assert np.allclose(d_neg, [row[2] / 6 for row in rows], rtol=1e-12)
@@ -210,14 +199,14 @@ class TestSelfAdversarialLoss:
     def test_gradient_matches_finite_difference(self):
         # the negative weights are treated as constants (stop-gradient), so
         # d/df_i is w_i * sigmoid(f_i), not the full softmax derivative
-        f_pos, f_neg, temp = 0.3, np.array([0.5, -1.0, 0.1]), 1.3
-        _, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
+        f_pos, f_neg = 0.3, np.array([0.5, -1.0, 0.1])
+        _, d_pos, d_neg = one_row_loss(f_pos, f_neg)
         h = 1e-6
-        up, _, _ = one_row_loss(f_pos + h, f_neg, temp)
-        down, _, _ = one_row_loss(f_pos - h, f_neg, temp)
+        up, _, _ = one_row_loss(f_pos + h, f_neg)
+        down, _, _ = one_row_loss(f_pos - h, f_neg)
         assert d_pos == pytest.approx((up - down) / (2 * h), rel=1e-5)
         for i in range(3):
-            w = np.exp(temp * f_neg)
+            w = np.exp(f_neg)
             w /= w.sum()
             bumped = f_neg.copy()
             bumped[i] += h
@@ -306,11 +295,11 @@ class TestGradientScatter:
         ])
         # as corrupt_batch makes them: exactly one entity differs from the positive
         assert np.array_equal((neg != np.repeat(pos, 3, axis=0)).sum(axis=1), np.ones(12))
-        _, _, _, grads = _batch_step(model, pos, neg, 0.7)
+        _, _, _, grads = _batch_step(model, pos, neg)
 
         idx = np.concatenate((pos, neg))
         scores = score_batch(model, idx)
-        _, d_pos, d_neg = self_adversarial_loss(scores[:4], scores[4:].reshape(4, 3), 0.7)
+        _, d_pos, d_neg = self_adversarial_loss(scores[:4], scores[4:].reshape(4, 3))
         g = np.concatenate((d_pos, d_neg.ravel()))
         expected = {name: np.zeros_like(getattr(model, name)) for name in TABLES}
         for (si, ri, oi), gi in zip(idx, g):
@@ -334,14 +323,14 @@ class TestGradientScatter:
         for start in range(0, 10, 4):  # batches of 4, 4 and a short last one of 2
             pos = train_idx[start : start + 4]
             neg = corrupt_batch(pos, eta, small_kg.n_entities, rng)
-            loss, pos_scores, neg_scores, _ = _batch_step(model, pos, neg, 1.3)
+            loss, pos_scores, neg_scores, _ = _batch_step(model, pos, neg)
 
             n = pos.shape[0]
             scores = score_batch(model, np.concatenate((pos, neg)))
             expected_neg = scores[n:].reshape(n, eta)
             np.testing.assert_allclose(pos_scores, scores[:n], rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(neg_scores, expected_neg, rtol=1e-12, atol=1e-15)
-            expected_loss, _, _ = self_adversarial_loss(scores[:n], expected_neg, 1.3)
+            expected_loss, _, _ = self_adversarial_loss(scores[:n], expected_neg)
             assert loss == pytest.approx(expected_loss, rel=1e-12)
 
     def test_rows_add_in_in_rows_order(self):
@@ -364,7 +353,7 @@ def reference_partials(s_re, s_im, r_re, r_im, o_re, o_im):
     }
 
 
-def reference_batch_step(model, pos, neg, temperature):
+def reference_batch_step(model, pos, neg):
     """_batch_step as whole-batch arrays: six-key partials, np.block, one gather and einsum."""
     n, k = pos.shape[0], model.k
     eta = neg.shape[0] // n
@@ -384,7 +373,7 @@ def reference_batch_step(model, pos, neg, temperature):
     neg_scores = np.einsum(
         "ij,ij->i", ent[replacement], side_partials[partial_row]
     ).reshape(n, eta)
-    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores, temperature)
+    loss, d_pos, d_neg = self_adversarial_loss(pos_scores, neg_scores)
 
     g, g_c = d_pos[:, None], d_neg.ravel()
     a = _sum_rows(ent, partial_row, replacement, g_c, 2 * n)
@@ -429,8 +418,8 @@ class TestBatchStepOracle:
         neg = corrupt_batch(pos, eta, small_kg.n_entities, rng)
         assert neg.shape[0] % block_rows != 0
 
-        got = _batch_step(model, pos, neg, 0.9)
-        want = reference_batch_step(model, pos, neg, 0.9)
+        got = _batch_step(model, pos, neg)
+        want = reference_batch_step(model, pos, neg)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1])
         assert np.array_equal(got[2], want[2])
@@ -622,7 +611,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(cfg.seed)
         pos = train_idx[rng.permutation(train_idx.shape[0])]
         neg = corrupt_batch(pos, cfg.eta, split.kg.n_entities, rng)
-        loss, _, _, grads = _batch_step(model0, pos, neg, cfg.adversarial_temperature)
+        loss, _, _, grads = _batch_step(model0, pos, neg)
         assert result.history == (f"epoch\t{loss!r}",)
         for name, grad in zip(TABLES, grads):
             params = getattr(model0, name)
@@ -661,10 +650,9 @@ class TestLossProperties:
     @given(
         st.floats(min_value=-30, max_value=30),
         st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=6),
-        st.floats(min_value=0.1, max_value=5.0),
     )
-    def test_finite_and_nonnegative_gradient_signs(self, f_pos, f_neg, temp):
-        loss, d_pos, d_neg = one_row_loss(f_pos, f_neg, temp)
+    def test_finite_and_nonnegative_gradient_signs(self, f_pos, f_neg):
+        loss, d_pos, d_neg = one_row_loss(f_pos, f_neg)
         assert np.isfinite(loss)
         assert -1.0 <= d_pos <= 0.0  # pushing the positive up
         assert np.all(d_neg >= 0.0)  # pushing negatives down
@@ -673,6 +661,6 @@ class TestLossProperties:
     @settings(max_examples=40, deadline=None)
     @given(st.floats(min_value=-20, max_value=20))
     def test_loss_decreasing_in_positive_score(self, f_pos):
-        lo, _, _ = one_row_loss(f_pos, [0.0], 1.0)
-        hi, _, _ = one_row_loss(f_pos + 1.0, [0.0], 1.0)
+        lo, _, _ = one_row_loss(f_pos, [0.0])
+        hi, _, _ = one_row_loss(f_pos + 1.0, [0.0])
         assert hi < lo
