@@ -27,7 +27,6 @@ from .scenes import (
     VehicleState,
     parse_scene_xml,
     serialize_scene_xml,
-    validate_document,
 )
 from .kg import (
     KgBuildError,

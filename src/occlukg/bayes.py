@@ -18,11 +18,11 @@ model lacks scores 0 and cannot win.
 Prediction reads the same few dozen triples on every frame, so they
 are computed once per (model, calibration) and kept in one memo,
 ``model.memo()``. It holds one row per (relation, object, source)
-evidence pair: its ``EvidenceItem``, whether the object is in the
-model vocabulary (usable) or dropped, and its ``EvidenceFactor`` under
-each hypothesis whose prototype is present. Each triple is checked
-against the ontology when its row is built (a bad pair raises
-ValueError from ``posterior``). Beside the rows, the memo holds each
+evidence pair: its ``EvidenceItem``, whether its object and relation
+are in the model vocabulary (usable) or not (dropped), and its
+``EvidenceFactor`` under each hypothesis whose prototype is present.
+Each triple is checked against the ontology when its row is built (a
+bad pair raises ValueError from ``posterior``). Beside the rows, the memo holds each
 hypothesis' prior under its index in HYPOTHESES, computed on first
 use. ``predict_frame`` assembles a frame from those rows, decides the
 label from the three clamped values, and then builds each report once.
@@ -138,19 +138,23 @@ class PosteriorReport:
 
 
 def _probability(model: ComplexModel, subject: str, relation: str, object: str) -> float:
-    """triple_probability of a triple; ValueError if it fails the ontology check."""
+    """triple_probability of a triple; ValueError if it fails the ontology check
+    or the model lacks one of its names."""
     problem = ONTOLOGY.check(Triple(subject, relation, object))
     if problem:
         raise ValueError(f"triple fails ontology check: {problem}")
-    return triple_probability(model, subject, relation, object)
+    try:
+        return triple_probability(model, subject, relation, object)
+    except KeyError as exc:
+        raise ValueError(f"the model lacks {exc.args[0]!r}") from None
 
 
 class _Row:
     """The memo row of one (relation, object, source) evidence pair.
 
     ``factors`` holds the pair's factor under each of HYPOTHESES, None
-    where the model lacks that prototype; a row whose object the model
-    lacks is not usable and has no factors. Rows live in
+    where the model lacks that prototype; a row whose object or relation
+    the model lacks is not usable and has no factors. Rows live in
     ``model.memo()``, stored by ``memo.setdefault`` only once built, so
     a pair that fails the ontology check raises on every use.
     """
@@ -159,7 +163,7 @@ class _Row:
 
     def __init__(self, model: ComplexModel, relation: str, object: str, source: str):
         self.item = EvidenceItem(relation, object, EvidenceSource(source))
-        self.usable = object in model.entity_index
+        self.usable = object in model.entity_index and relation in model.relation_index
         self.factors = None
         if self.usable:
             marg = _probability(model, ROAD_SCENE, relation, object)
@@ -204,8 +208,8 @@ def posterior(
     Raw values above 1 (possible: the factors are calibrated scores, not
     a joint law) are clamped and flagged. If the model lacks h's
     prototype the report is all zero: prior 0, no factors, denominator
-    1. Every evidence object must be in the model vocabulary
-    (``predict_frame`` drops those that are not).
+    1. Every evidence object and relation must be in the model
+    vocabulary (``predict_frame`` drops pairs that are not).
     """
     memo = model.memo()
     rows = []
@@ -213,7 +217,7 @@ def posterior(
         pair = (e.relation, e.object, e.source.value)
         row = memo.get(pair) or memo.setdefault(pair, _Row(model, *pair))
         if not row.usable:
-            raise KeyError(e.object)
+            raise KeyError(pair[:2])
         rows.append(row)
     return PosteriorReport(h, *_score(model, memo, HYPOTHESES.index(h), rows))
 
@@ -265,8 +269,10 @@ def predict_frame(
     clamped posteriors over the three hypotheses, ties resolved in the
     fixed order Occluded > NotOccluded > None. Ground truth is read
     from frame min(t+horizon, last); running past the end sets the
-    truncated flag. Evidence whose value entity is missing from the
-    model vocabulary is dropped (and recorded) rather than scored.
+    truncated flag. Evidence whose value entity or relation is missing
+    from the model vocabulary is dropped (and recorded) rather than
+    scored. A model lacking ``RoadScene`` (or another name a prior or
+    marginal reads) raises ValueError naming it.
     ``denominator`` accepts only "marginal", the one denominator (see
     ``posterior``); ``perfbench`` still passes it by name.
     """

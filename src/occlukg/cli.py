@@ -307,7 +307,8 @@ def _read_config_file(path: Optional[str]) -> dict[str, str]:
     return parse_flat_config(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_corpus(corpus_dir: str):
+def _read_corpus(corpus_dir: str) -> list:
+    """The directory's scene documents; SceneValidationError naming every invalid file."""
     root = Path(corpus_dir)
     if not root.is_dir():
         raise ConfigError(f"corpus directory {corpus_dir!r} does not exist")
@@ -320,8 +321,10 @@ def _read_corpus(corpus_dir: str):
         try:
             docs.append(parse_scene_xml(path.read_bytes()))
         except (SceneParseError, SceneValidationError) as exc:
-            failures.append(f"{path.name}: {exc}")
-    return docs, failures
+            failures.append(f"invalid scene: {path.name}: {exc}")
+    if failures:
+        raise SceneValidationError("\n".join(failures))
+    return docs
 
 
 def _vocab_path(model_path: str) -> Path:
@@ -350,16 +353,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build_kg(args) -> int:
-    docs, failures = _read_corpus(args.corpus)
-    if failures:
-        for failure in failures:
-            print(f"invalid scene: {failure}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        kg = build_linked_kg(docs)
-    except KgBuildError as exc:
-        print(f"invalid corpus: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    docs = _read_corpus(args.corpus)
+    kg = build_linked_kg(docs)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(export_kg_tsv(kg))
@@ -420,11 +415,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    docs, failures = _read_corpus(args.corpus)
-    if failures:
-        for failure in failures:
-            print(f"invalid scene: {failure}", file=sys.stderr)
-        return EXIT_DATA
+    docs = _read_corpus(args.corpus)
     spec, cross = experiment_spec_from_mapping(_read_config_file(args.spec))
     overrides = {}
     if args.seed is not None:

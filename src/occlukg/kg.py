@@ -47,7 +47,6 @@ from .scenes import (
     Surroundings,
     VehiclePosition,
     VehicleState,
-    validate_document,
 )
 
 
@@ -449,10 +448,11 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
     """Compile documents into a knowledge graph (without prototype linkage).
 
     Emits per-scene context triples, the frame chain, per-frame scene
-    labels, pedestrian occlusion levels and vehicle records. Documents
-    must pass validate_document; every emitted triple is type-checked
-    against the ontology, through one triple per (relation, subject kind,
-    object kind) signature.
+    labels, pedestrian occlusion levels and vehicle records. The scene
+    records enforce their labeling rules when built, so a document needs
+    no check here; scene ids must be unique across the corpus, and every
+    emitted triple is type-checked against the ontology, through one
+    triple per (relation, subject kind, object kind) signature.
     """
     fields: list[str] = []
     add = fields.extend
@@ -462,11 +462,6 @@ def build_kg(corpus: Sequence[RoadSceneDocument]) -> KnowledgeGraph:
         if sid in seen_ids:
             raise KgBuildError(f"duplicate scene_id {sid!r} in corpus")
         seen_ids.add(sid)
-        violations = validate_document(doc)
-        if violations:
-            raise KgBuildError(
-                f"scene {sid!r} fails validation: " + "; ".join(violations)
-            )
         s_ent = scene_entity(sid)
         ctx = doc.context
         if ctx.zebra_crossing:

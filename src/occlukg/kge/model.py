@@ -13,7 +13,6 @@ is what lets a single relation embedding capture directed facts.
 from __future__ import annotations
 
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -24,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import only for annotations
 
 
 class CheckpointError(ValueError):
-    """Raised when checkpoint bytes cannot be decoded."""
+    """Raised when a model cannot be saved, or checkpoint bytes cannot be loaded."""
 
 
 TABLES = ("ent_re", "ent_im", "rel_re", "rel_im")
@@ -39,6 +38,11 @@ class ComplexModel:
     triple_probability; (1, 0) until a fit replaces it. ``memo()`` is
     the one cache of prediction-time probabilities, reset whenever
     ``calibration`` changes.
+
+    Construction raises ValueError for a non-finite table value or
+    calibration, mismatched shapes, an empty entity table (k = 0 or no
+    entity) and a repeated entity or relation name, so no caller checks
+    a model again.
     """
 
     entities: tuple[str, ...]
@@ -62,9 +66,22 @@ class ComplexModel:
             raise ValueError("entity embedding shape mismatch")
         if self.rel_re.shape != (len(self.relations), k) or self.rel_im.shape != self.rel_re.shape:
             raise ValueError("relation embedding shape mismatch")
+        if not self.ent_re.size:  # a k = 0 model would score every triple 0.0
+            raise ValueError(
+                f"empty entity table: k = {k} and {len(self.entities)} entities; need both > 0"
+            )
         self.calibration = (float(self.calibration[0]), float(self.calibration[1]))
+        if not np.isfinite(self.calibration).all():
+            raise ValueError(f"calibration {self.calibration} is not finite")
         self.entity_index = {e: i for i, e in enumerate(self.entities)}
         self.relation_index = {r: i for i, r in enumerate(self.relations)}
+        for kind, names, index in (
+            ("entity", self.entities, self.entity_index),
+            ("relation", self.relations, self.relation_index),
+        ):
+            if len(index) != len(names):  # a repeated name's earlier row could never be read
+                first = next(n for i, n in enumerate(names) if index[n] != i)
+                raise ValueError(f"duplicate {kind} {first!r}")
         self._memo: dict = {}
         self._memo_calibration = None
 
@@ -111,23 +128,12 @@ def init_tables(
     draws happen in a fixed order (entity real, entity imaginary,
     relation real, relation imaginary) so a seed pins the whole model.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
-    entities = tuple(entities)
-    relations = tuple(relations)
-    if not entities:
-        raise ValueError("empty entity table")
-    if len(set(entities)) != len(entities):
-        raise ValueError("duplicate entity ids")
-    if len(set(relations)) != len(relations):
-        raise ValueError("duplicate relation ids")
     rng = np.random.default_rng(seed)
-    bound = np.sqrt(6.0 / (2.0 * k))
-    ent_re = rng.uniform(-bound, bound, size=(len(entities), k))
-    ent_im = rng.uniform(-bound, bound, size=(len(entities), k))
-    rel_re = rng.uniform(-bound, bound, size=(len(relations), k))
-    rel_im = rng.uniform(-bound, bound, size=(len(relations), k))
-    return ComplexModel(entities, relations, ent_re, ent_im, rel_re, rel_im)
+    # max(k, 1) only keeps the bound finite at k = 0, which the model refuses
+    bound = np.sqrt(6.0 / (2.0 * max(k, 1)))
+    rows = (len(entities),) * 2 + (len(relations),) * 2
+    tables = [rng.uniform(-bound, bound, size=(n, k)) for n in rows]
+    return ComplexModel(entities, relations, *tables)
 
 
 def init_embeddings(kg: "KnowledgeGraph", k: int, seed: int) -> ComplexModel:
@@ -235,7 +241,14 @@ _HEADER = struct.Struct("<4sIIII dd")
 
 
 def save_checkpoint(model: ComplexModel) -> tuple[bytes, bytes]:
-    """Return (binary checkpoint, text sidecar) for a model."""
+    """Return (binary checkpoint, text sidecar) for a model.
+
+    CheckpointError if a name is the sidecar's separator line or holds a
+    newline, since the sidecar could not carry it.
+    """
+    for name in (*model.entities, *model.relations):
+        if name == "---" or "\n" in name:
+            raise CheckpointError(f"the sidecar cannot carry the name {name!r}")
     a, b = model.calibration
     blob = bytearray(
         _HEADER.pack(
@@ -263,14 +276,14 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
         raise CheckpointError(f"bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
-    if k == 0 or n_ent == 0:  # init_tables makes neither
-        raise CheckpointError(f"checkpoint header has k = {k} and {n_ent} entities; need both > 0")
     expected = _HEADER.size + 8 * k * (2 * n_ent + 2 * n_rel)
     if len(blob) != expected:
         raise CheckpointError(
             f"checkpoint length {len(blob)} != expected {expected} for header counts"
         )
-    lines = sidecar.decode("utf-8").splitlines()
+    lines = sidecar.decode("utf-8").split("\n")
+    if lines[-1] == "":  # the sidecar's final newline
+        lines.pop()
     try:
         sep = lines.index("---")
     except ValueError:
@@ -282,12 +295,6 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
             f"sidecar lists {len(entities)} entities / {len(relations)} relations, "
             f"header says {n_ent} / {n_rel}"
         )
-    for kind, names in (("entity", entities), ("relation", relations)):
-        if len(set(names)) != len(names):  # the name's earlier row could never be looked up
-            twice = min(n for n, c in Counter(names).items() if c > 1)
-            raise CheckpointError(f"sidecar lists {kind} {twice!r} more than once")
-    if not np.isfinite((a, b)).all():
-        raise CheckpointError(f"calibration ({a}, {b}) is not finite")
     offset = _HEADER.size
     arrays = []
     for rows in (n_ent, n_ent, n_rel, n_rel):
@@ -297,5 +304,5 @@ def load_checkpoint(blob: bytes, sidecar: bytes) -> ComplexModel:
         offset += 8 * count
     try:
         return ComplexModel(entities, relations, *arrays, calibration=(a, b))
-    except ValueError as exc:  # a non-finite table value; the shapes are checked above
+    except ValueError as exc:  # the model's own checks; the shapes are checked above
         raise CheckpointError(str(exc)) from None

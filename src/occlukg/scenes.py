@@ -1,9 +1,12 @@
 """Annotated road-scene documents.
 
 Domain types for one annotated road scene (scene-level context plus
-per-frame pedestrian and vehicle records), the XML annotation format,
-the occlusion-level labeling rule and the cross-field validator of the
-labeling rules.
+per-frame pedestrian and vehicle records) and the XML annotation
+format. Each record enforces its labeling rules when built: a
+pedestrian's visible fraction agrees with its occlusion level, a
+NonePedestrian frame lists no pedestrian, and a PedestrianOccluded
+frame holds an occluded pedestrian record. No invalid document can be
+constructed, so no reader checks one again.
 
 The XML format is strict: one ``<roadScene>`` root with a single
 ``<context>`` child followed by one or more ``<frame>`` elements.
@@ -113,8 +116,16 @@ class PedestrianRecord:
 
     def __post_init__(self):
         vf = self.visible_fraction
-        if vf is not None and not (0.0 <= vf <= 1.0):
+        if vf is None:
+            return
+        if not (0.0 <= vf <= 1.0):
             raise ValueError(f"visible_fraction must be in [0, 1], got {vf}")
+        below = vf < FULL_OCCLUSION_VISIBILITY_THRESHOLD
+        if self.occlusion is (OcclusionLevel.PARTIAL if below else OcclusionLevel.FULL):
+            raise ValueError(
+                f"visible_fraction {vf} is {'below' if below else 'at or above'} "
+                f"{FULL_OCCLUSION_VISIBILITY_THRESHOLD} but occlusion is {self.occlusion.value}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,10 +147,20 @@ class FrameAnnotation:
     def __post_init__(self):
         if self.frame_number < 0:
             raise ValueError(f"frame_number must be >= 0, got {self.frame_number}")
-        # Label/record consistency is deliberately not enforced here so that
-        # validate_document can report it as a violation.
         object.__setattr__(self, "pedestrians", tuple(self.pedestrians))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
+        label = self.pedestrians_scene
+        if label is SceneLabel.NONE_PEDESTRIAN and self.pedestrians:
+            raise ValueError(
+                f"frame {self.frame_number} is NonePedestrian but lists pedestrians"
+            )
+        if label is SceneLabel.PEDESTRIAN_OCCLUDED and all(
+            p.occlusion is OcclusionLevel.NONE for p in self.pedestrians
+        ):
+            raise ValueError(
+                f"frame {self.frame_number} is PedestrianOccluded but has "
+                "no occluded pedestrian record"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,41 +179,6 @@ class RoadSceneDocument:
     @property
     def scene_id(self) -> str:
         return self.context.scene_id
-
-
-def validate_document(doc: RoadSceneDocument) -> list[str]:
-    """Cross-field consistency check. Returns violation descriptions, [] if clean."""
-    violations: list[str] = []
-    sid = doc.scene_id
-    for frame in doc.frames:
-        where = f"scene {sid!r} frame {frame.frame_number}"
-        label = frame.pedestrians_scene
-        occluded = [
-            p
-            for p in frame.pedestrians
-            if p.occlusion in (OcclusionLevel.PARTIAL, OcclusionLevel.FULL)
-        ]
-        if label is SceneLabel.NONE_PEDESTRIAN and frame.pedestrians:
-            violations.append(f"{where}: NonePedestrian frame lists pedestrians")
-        if label is SceneLabel.PEDESTRIAN_OCCLUDED and not occluded:
-            violations.append(
-                f"{where}: PedestrianOccluded frame has no occluded pedestrian record"
-            )
-        for p in frame.pedestrians:
-            vf = p.visible_fraction
-            if vf is None:
-                continue
-            if vf < FULL_OCCLUSION_VISIBILITY_THRESHOLD and p.occlusion is OcclusionLevel.PARTIAL:
-                violations.append(
-                    f"{where}: pedestrian {p.pedestrian_id!r} visible_fraction {vf} "
-                    f"below {FULL_OCCLUSION_VISIBILITY_THRESHOLD} but occlusion Partial"
-                )
-            if vf >= FULL_OCCLUSION_VISIBILITY_THRESHOLD and p.occlusion is OcclusionLevel.FULL:
-                violations.append(
-                    f"{where}: pedestrian {p.pedestrian_id!r} visible_fraction {vf} "
-                    f"at or above {FULL_OCCLUSION_VISIBILITY_THRESHOLD} but occlusion Full"
-                )
-    return violations
 
 
 # --- XML format ---------------------------------------------------------
@@ -360,13 +346,13 @@ def _parse_frame(elem: ET.Element) -> FrameAnnotation:
             pedestrians.append(_parse_pedestrian(child))
         else:
             raise SceneValidationError(f"<frame> contains unknown element <{tag}>")
-    return FrameAnnotation(
-        number,
-        _SCENE_LABELS.get(attrib.get("pedestriansScene"))
-        or _enum_attr(elem, "pedestriansScene", SceneLabel, "frame"),
-        tuple(pedestrians),
-        tuple(vehicles),
+    label = _SCENE_LABELS.get(attrib.get("pedestriansScene")) or _enum_attr(
+        elem, "pedestriansScene", SceneLabel, "frame"
     )
+    try:
+        return FrameAnnotation(number, label, tuple(pedestrians), tuple(vehicles))
+    except ValueError as exc:
+        raise SceneValidationError(f"<frame>: {exc}") from None
 
 
 def parse_scene_xml(data: bytes) -> RoadSceneDocument:
@@ -374,8 +360,8 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
 
     Raises SceneParseError (with line/column) on malformed XML and
     SceneValidationError naming the offending element and rule on any
-    schema violation, including unknown elements and label/record
-    inconsistencies that the annotation rules forbid outright.
+    schema violation, unknown elements and the records' labeling rules
+    included.
     """
     try:
         root = ET.fromstring(data)
@@ -444,27 +430,9 @@ def parse_scene_xml(data: bytes) -> RoadSceneDocument:
 
     frames = [_parse_frame(e) for e in frame_elems]
     try:
-        doc = RoadSceneDocument(context=context, frames=tuple(frames))
+        return RoadSceneDocument(context=context, frames=tuple(frames))
     except ValueError as exc:
         raise SceneValidationError(str(exc)) from None
-
-    # Label/record consistency that the format forbids outright; the
-    # finer visibility-threshold rule stays a validate_document concern.
-    for frame in doc.frames:
-        label = frame.pedestrians_scene
-        if label is SceneLabel.NONE_PEDESTRIAN and frame.pedestrians:
-            raise SceneValidationError(
-                f"<frame number={frame.frame_number}> is NonePedestrian but lists pedestrians"
-            )
-        if label is SceneLabel.PEDESTRIAN_OCCLUDED and not any(
-            p.occlusion in (OcclusionLevel.PARTIAL, OcclusionLevel.FULL)
-            for p in frame.pedestrians
-        ):
-            raise SceneValidationError(
-                f"<frame number={frame.frame_number}> is PedestrianOccluded but has "
-                "no occluded pedestrian record"
-            )
-    return doc
 
 
 def _escape_attrib(text: str) -> str:

@@ -1,9 +1,11 @@
 """Shared fixtures: small handmade documents, corpora, planted models."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from occlukg.kge.model import ComplexModel
+from occlukg.kge.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, ComplexModel
 from occlukg.scenes import (
     BrakingLights,
     DistanceBucket,
@@ -156,3 +158,18 @@ def model_with_scores(score_map, calibration=(1.0, 0.0)):
         rel_im=rel_im,
         calibration=calibration,
     )
+
+
+def hand_written_checkpoint(k, entities, relations=("r",)):
+    """(blob, sidecar) of a checkpoint with zero tables, its header written by hand.
+
+    No ComplexModel can hold an empty entity table, so save_checkpoint
+    never writes k = 0 or no entity; this writes them for the loader.
+    """
+    header = struct.pack(
+        "<4sIIII dd", CHECKPOINT_MAGIC, CHECKPOINT_VERSION, k, len(entities), len(relations),
+        1.0, 0.0,
+    )
+    blob = header + bytes(8 * k * (2 * len(entities) + 2 * len(relations)))
+    sidecar = "".join(f"{name}\n" for name in (*entities, "---", *relations)).encode()
+    return blob, sidecar

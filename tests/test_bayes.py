@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,18 @@ from occlukg.kg import (
 )
 from occlukg.harness import headline_spec
 from occlukg.kge.calibrate import triple_probability
-from occlukg.kge.model import TABLES, init_embeddings
-from occlukg.scenes import FrameAnnotation, RoadSceneDocument, SceneLabel, Surroundings
+from occlukg.kge.model import TABLES, init_embeddings, init_tables
+from occlukg.scenes import (
+    BrakingLights,
+    DistanceBucket,
+    FrameAnnotation,
+    RoadSceneDocument,
+    SceneLabel,
+    Surroundings,
+    VehiclePosition,
+    VehicleRecord,
+    VehicleState,
+)
 
 from conftest import make_context, model_with_scores
 
@@ -400,6 +411,58 @@ class TestPredictFrame:
         pred = predict_frame(model, doc, 0)
         assert [e.object for e in pred.dropped_evidence] == ["Clear"]
         assert all(e.object != "Clear" for e in pred.evidence)
+
+    def test_evidence_whose_relation_the_model_lacks_dropped(self, occluded_crossing_doc):
+        # "VehDecelerating" is in the vocabulary, as an object of hasState,
+        # but the relation "includes" of its evidence pair is not
+        kept = [pair for pair in frame_items(occluded_crossing_doc, 0) if pair[0] != "includes"]
+        entries = {(ROAD_SCENE, rel, obj): 0.4 for rel, obj in kept}
+        entries.update({(PROTO_OCCLUDED, rel, obj): 0.8 for rel, obj in kept})
+        entries[("veh:s:0:v", "hasState", "VehDecelerating")] = 0.5
+        model = probability_model(entries)
+        assert "VehDecelerating" in model.entity_index
+        assert "includes" not in model.relation_index
+        pred = predict_frame(model, occluded_crossing_doc, 0)
+        assert [(e.relation, e.object) for e in pred.dropped_evidence] == [
+            ("includes", "VehDecelerating")
+        ]
+        assert [(e.relation, e.object) for e in pred.evidence] == kept
+
+    def test_model_without_road_scene_names_it(self, visible_ped_doc):
+        # the prototype is there, so its prior needs RoadScene
+        entries = {(PROTO_VISIBLE, rel, obj): 1.0 for rel, obj in frame_items(visible_ped_doc, 0)}
+        entries[(PROTO_VISIBLE, "contains", "PedestrianNotOccluded")] = 1.0
+        model = model_with_scores(entries)
+        with pytest.raises(ValueError, match="the model lacks 'RoadScene'"):
+            predict_frame(model, visible_ped_doc, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_any_vocabulary_predicts_or_names_what_it_lacks(self, data):
+        vehicle = VehicleRecord(
+            "v", VehicleState.STOPPED, BrakingLights.ON, DistanceBucket.NEAR, VehiclePosition.LEFT
+        )
+        doc = RoadSceneDocument(
+            make_context(zebra=True),
+            (FrameAnnotation(0, SceneLabel.NONE_PEDESTRIAN, vehicles=(vehicle,)),),
+        )
+        pairs = frame_items(doc, 0)
+        entity_pool = [ROAD_SCENE, *PROTOTYPE_FOR_LABEL.values()]
+        entity_pool += [label.value for label in SceneLabel] + [obj for _, obj in pairs]
+        relation_pool = ["contains", *(rel for rel, _ in pairs)]
+        entities = data.draw(st.lists(st.sampled_from(entity_pool), min_size=1, unique=True))
+        relations = data.draw(st.lists(st.sampled_from(relation_pool), unique=True))
+        model = init_tables(entities, relations, k=2, seed=data.draw(st.integers(0, 99)))
+        try:
+            pred = predict_frame(model, doc, 0)
+        except ValueError as exc:
+            lacking = re.fullmatch(r"the model lacks '(.+)'", str(exc)).group(1)
+            assert lacking not in entities and lacking not in relations
+        else:
+            for e in pred.dropped_evidence:
+                assert e.object not in entities or e.relation not in relations
+            for e in pred.evidence:
+                assert e.object in entities and e.relation in relations
 
     def test_reports_carry_decision_and_horizon(self, visible_ped_doc):
         model = self.steering_model(PROTO_VISIBLE, frame_items(visible_ped_doc, 0))

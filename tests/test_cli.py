@@ -36,10 +36,18 @@ from occlukg.cli import (
 from occlukg.bayes import predict_frame, predictions_jsonl
 from occlukg.harness import fit_calibration
 from occlukg.kg import DEFAULT_VALIDATION_RATIO, build_linked_kg, import_kg_tsv
-from occlukg.kge.model import ComplexModel, load_checkpoint, save_checkpoint, score_triple
+from occlukg.kge.model import load_checkpoint, score_triple
 from occlukg.kge.train import TrainingConfig
-from occlukg.scenes import Environment, SceneLabel, VehicleState, parse_scene_xml
+from occlukg.scenes import (
+    Environment,
+    SceneLabel,
+    VehicleState,
+    parse_scene_xml,
+    serialize_scene_xml,
+)
 from occlukg.synth import default_config
+
+from conftest import hand_written_checkpoint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,6 +312,41 @@ class TestBuildKg:
         code = main(["build-kg", "--corpus", str(bad_dir), "--out", str(tmp_path / "kg.tsv")])
         assert code == EXIT_DATA
         assert "invalid scene: broken.xml" in capsys.readouterr().err
+
+    def test_duplicate_scene_id_names_it(self, corpus_dir, tmp_path, capsys):
+        dup_dir = tmp_path / "dup-corpus"
+        dup_dir.mkdir()
+        first = sorted(corpus_dir.glob("*.xml"))[0]
+        shutil.copy(first, dup_dir / "a.xml")
+        shutil.copy(first, dup_dir / "b.xml")
+        scene_id = parse_scene_xml(first.read_bytes()).scene_id
+        code = main(["build-kg", "--corpus", str(dup_dir), "--out", str(tmp_path / "kg.tsv")])
+        assert code == EXIT_DATA
+        assert f"duplicate scene_id {scene_id!r}" in capsys.readouterr().err
+
+    def test_visibility_contradicting_occlusion(self, corpus_dir, tmp_path, capsys):
+        bad_dir = tmp_path / "bad-corpus"
+        bad_dir.mkdir()
+        for path in sorted(corpus_dir.glob("*.xml")):
+            shutil.copy(path, bad_dir / path.name)
+        doc = parse_scene_xml(next(
+            p.read_bytes() for p in sorted(corpus_dir.glob("*.xml"))
+            if b'occlusion="Full"' in p.read_bytes()
+        ))
+        frame = doc.frames[0]
+        [pedestrian] = frame.pedestrians
+        # a fraction at the threshold is partial occlusion, not full
+        xml = serialize_scene_xml(doc).replace(
+            f'visibleFraction="{pedestrian.visible_fraction!r}"'.encode(),
+            b'visibleFraction="0.25"',
+        )
+        assert xml != serialize_scene_xml(doc)
+        (bad_dir / "contradiction.xml").write_bytes(xml)
+        code = main(["build-kg", "--corpus", str(bad_dir), "--out", str(tmp_path / "kg.tsv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "invalid scene: contradiction.xml: <pedestrian>: visible_fraction 0.25" in err
+        assert not (tmp_path / "kg.tsv").exists()
 
     def test_empty_corpus_dir(self, tmp_path):
         empty = tmp_path / "empty"
@@ -708,10 +751,8 @@ class TestPredict:
 
     @pytest.mark.parametrize("k, entities", [(0, ("a", "b")), (2, ())])
     def test_empty_checkpoint_is_bad_data(self, corpus_dir, tmp_path, capsys, k, entities):
-        # tables init_tables never makes: no embedding width, or no entity
-        tables = [np.zeros((rows, k)) for rows in (len(entities),) * 2 + (1,) * 2]
-        model = ComplexModel(entities, ("r",), *tables)
-        blob, sidecar = save_checkpoint(model)
+        # tables no model can hold: no embedding width, or no entity
+        blob, sidecar = hand_written_checkpoint(k, entities)
         path = tmp_path / "empty.npz"
         path.write_bytes(blob)
         Path(str(path) + ".vocab").write_bytes(sidecar)
@@ -719,6 +760,51 @@ class TestPredict:
         code = main(["predict", "--model", str(path), "--scene", str(scene), "--frame", "0"])
         assert code == EXIT_DATA
         assert "need both > 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tsv, outcome",
+        [
+            # no RoadScene: the prior of the one prototype cannot be read
+            ("SceneWithOccludedPed\tcontains\tPedestrianOccluded\n"
+             "SceneWithOccludedPed\thasSurroundings\tClear\n"
+             "SceneWithOccludedPed\thasSurroundings\tVegetation\n",
+             "the model lacks 'RoadScene'"),
+            # every vehicle-state entity, but not the "includes" relation
+            ("".join(f"veh:s:0:v\thasState\t{state}\n"
+                     for state in ("VehContinuousMovement", "VehStopped",
+                                   "VehAccelerating", "VehDecelerating"))
+             + "RoadScene\tcontains\tPedestrianOccluded\n"
+             "SceneWithOccludedPed\tcontains\tPedestrianOccluded\n",
+             "includes"),
+        ],
+        ids=["no-RoadScene", "no-includes"],
+    )
+    def test_partial_vocabulary_predicts_or_names_what_it_lacks(
+        self, corpus_dir, tmp_path, capsys, tsv, outcome
+    ):
+        kg = tmp_path / "kg.tsv"
+        kg.write_text(tsv, encoding="utf-8")
+        model = tmp_path / "model.npz"
+        assert main(["train", "--kg", str(kg), "--out", str(model), "--k", "2",
+                     "--max-epochs", "1", "--validation-ratio", "0"]) == EXIT_OK
+        capsys.readouterr()
+        scene, frame = next(
+            (path, t)
+            for path in sorted(corpus_dir.glob("*.xml"))
+            for t, f in enumerate(parse_scene_xml(path.read_bytes()).frames)
+            if f.vehicles
+        )
+        code = main(["predict", "--model", str(model), "--scene", str(scene),
+                     "--frame", str(frame)])
+        captured = capsys.readouterr()
+        if outcome == "includes":
+            # the pairs whose relation the model lacks are dropped, not scored
+            assert code == EXIT_OK
+            [record] = [json.loads(ln) for ln in captured.out.splitlines()]
+            assert {d["relation"] for d in record["dropped_evidence"]} >= {"includes"}
+        else:
+            assert code == EXIT_USAGE
+            assert outcome in captured.err
 
     def test_bad_denominator_choice(self, corpus_dir, model_path, capsys):
         # the flag is gone, so even the one denominator is an unknown argument

@@ -36,13 +36,9 @@ from occlukg.kg import (
 from occlukg.scenes import (
     Environment,
     FrameAnnotation,
-    RoadSceneDocument,
-    SceneLabel,
     VehicleState,
 )
 from occlukg.synth import default_config, generate_corpus
-
-from conftest import make_context
 
 
 class TestEntityKinds:
@@ -141,18 +137,6 @@ class TestBuildKg:
     def test_duplicate_scene_id_rejected(self, minimal_doc):
         with pytest.raises(KgBuildError, match="scene-0001"):
             build_kg([minimal_doc, minimal_doc])
-
-    def test_invalid_document_names_scene(self):
-        bad = RoadSceneDocument(
-            context=make_context(scene_id="scene-bad"),
-            frames=(
-                FrameAnnotation(
-                    frame_number=0, pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED
-                ),
-            ),
-        )
-        with pytest.raises(KgBuildError, match="scene-bad"):
-            build_kg([bad])
 
     def test_ontology_violation_rejected(self, monkeypatch, occluded_crossing_doc):
         # a braking-lights value in place of a vehicle state falls outside

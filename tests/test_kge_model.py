@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from occlukg.kg import build_linked_kg
 from occlukg.kge.model import (
@@ -21,7 +22,7 @@ from occlukg.kge.model import (
     score_triple,
 )
 
-from conftest import model_with_scores
+from conftest import hand_written_checkpoint, model_with_scores
 
 
 def complex_oracle_score(model, s, r, o):
@@ -107,6 +108,32 @@ class TestModelConstruction:
                 entities=("a", "b"), relations=("r",),
                 ent_re=bad, ent_im=ent, rel_re=np.zeros((1, 3)), rel_im=np.zeros((1, 3)),
             )
+
+    @pytest.mark.parametrize("k, entities", [(0, ("a", "b")), (2, ())])
+    def test_empty_entity_table_rejected(self, k, entities):
+        tables = [np.zeros((rows, k)) for rows in (len(entities),) * 2 + (1,) * 2]
+        with pytest.raises(
+            ValueError, match=f"k = {k} and {len(entities)} entities; need both > 0"
+        ):
+            ComplexModel(entities, ("r",), *tables)
+
+    @pytest.mark.parametrize(
+        "entities, relations, named",
+        [
+            (("b", "a", "a", "b"), ("r",), "duplicate entity 'b'"),
+            (("a", "b"), ("r", "s", "s"), "duplicate relation 's'"),
+        ],
+    )
+    def test_repeated_name_rejected_naming_the_first(self, entities, relations, named):
+        tables = [np.zeros((rows, 2)) for rows in (len(entities),) * 2 + (len(relations),) * 2]
+        with pytest.raises(ValueError, match=named):
+            ComplexModel(entities, relations, *tables)
+
+    @pytest.mark.parametrize("calibration", [(float("nan"), 0.0), (1.0, float("-inf"))])
+    def test_non_finite_calibration_rejected(self, calibration):
+        tables = [np.zeros((rows, 2)) for rows in (2, 2, 1, 1)]
+        with pytest.raises(ValueError, match="calibration .* is not finite"):
+            ComplexModel(("a", "b"), ("r",), *tables, calibration=calibration)
 
     def test_copy_is_independent(self):
         model = init_tables(("a", "b"), ("r",), k=2, seed=0)
@@ -283,11 +310,29 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("k, entities", [(0, ("a", "b")), (2, ())])
     def test_empty_header_rejected(self, k, entities):
-        # a k = 0 model would score every triple as 0.0; init_tables makes neither
-        tables = [np.zeros((rows, k)) for rows in (len(entities),) * 2 + (1,) * 2]
-        blob, sidecar = save_checkpoint(ComplexModel(entities, ("r",), *tables))
+        # a k = 0 model would score every triple as 0.0; no model holds such tables
+        blob, sidecar = hand_written_checkpoint(k, entities)
         with pytest.raises(CheckpointError, match=f"k = {k} and {len(entities)} entities"):
             load_checkpoint(blob, sidecar)
+
+    def test_hand_written_header_loads(self):
+        # the helper above writes the format save_checkpoint does
+        model = load_checkpoint(*hand_written_checkpoint(2, ("a", "b"), ("r", "s")))
+        assert (model.entities, model.relations, model.k) == (("a", "b"), ("r", "s"), 2)
+        assert save_checkpoint(model) == hand_written_checkpoint(2, ("a", "b"), ("r", "s"))
+
+    @pytest.mark.parametrize("name", ["---", "a\nb", "\n"])
+    def test_name_the_sidecar_cannot_carry_is_refused(self, name):
+        for entities, relations in (((name, "b"), ("r",)), (("a", "b"), (name,))):
+            model = init_tables(entities, relations, k=2, seed=0)
+            with pytest.raises(CheckpointError, match="sidecar cannot carry"):
+                save_checkpoint(model)
+
+    @pytest.mark.parametrize("name", ["a\rb", "a\u2028b", "a\x85b", "a\x0cb", "-", "--- "])
+    def test_names_with_other_line_breaks_round_trip(self, name):
+        model = init_tables((name, "b"), (name,), k=2, seed=0)
+        loaded = load_checkpoint(*save_checkpoint(model))
+        assert (loaded.entities, loaded.relations) == (model.entities, model.relations)
 
     def test_magic_constant(self):
         model = init_tables(("a",), ("r",), k=1, seed=0)
@@ -308,3 +353,41 @@ class TestScoreProperties:
         model = init_tables(("a", "b", "c"), ("r0", "r1"), k=3, seed=seed)
         loaded = load_checkpoint(*save_checkpoint(model))
         assert score_triple(loaded, "a", "r1", "c") == score_triple(model, "a", "r1", "c")
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Any text, with the sidecar's separator and line breaks drawn often.
+_NAMES = st.one_of(
+    st.sampled_from(["---", "-", "", "a\nb", "a\rb", "a\u2028b"]),
+    st.text(alphabet=st.one_of(st.sampled_from("-\n\r\x85"), st.characters()), max_size=5),
+)
+
+
+@st.composite
+def constructible_models(draw):
+    entities = draw(st.lists(_NAMES, min_size=1, max_size=4, unique=True))
+    relations = draw(st.lists(_NAMES, max_size=3, unique=True))
+    k = draw(st.integers(min_value=1, max_value=3))
+    tables = [
+        draw(arrays(np.float64, (rows, k), elements=_FINITE))
+        for rows in (len(entities),) * 2 + (len(relations),) * 2
+    ]
+    return ComplexModel(entities, relations, *tables, calibration=draw(st.tuples(_FINITE, _FINITE)))
+
+
+class TestCheckpointProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(constructible_models())
+    def test_every_constructible_model_round_trips(self, model):
+        names = (*model.entities, *model.relations)
+        if any(name == "---" or "\n" in name for name in names):
+            # the one refusal: a name the text sidecar cannot carry
+            with pytest.raises(CheckpointError, match="sidecar cannot carry"):
+                save_checkpoint(model)
+            return
+        loaded = load_checkpoint(*save_checkpoint(model))
+        assert loaded.entities == model.entities
+        assert loaded.relations == model.relations
+        assert loaded.calibration == model.calibration
+        for name in ("ent_re", "ent_im", "rel_re", "rel_im"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occlukg.scenes import (
+    FULL_OCCLUSION_VISIBILITY_THRESHOLD,
     BrakingLights,
     DistanceBucket,
     Environment,
@@ -26,7 +27,6 @@ from occlukg.scenes import (
     VehicleState,
     parse_scene_xml,
     serialize_scene_xml,
-    validate_document,
 )
 from occlukg.synth import asymmetric_corpus, default_config, generate_corpus, uninformative_config
 
@@ -117,7 +117,9 @@ class TestParse:
             <pedestrian id="p" occlusion="None"/>
           </frame>
         </roadScene>"""
-        with pytest.raises(SceneValidationError, match="NonePedestrian"):
+        with pytest.raises(
+            SceneValidationError, match="^<frame>: frame 0 is NonePedestrian but lists pedestrians$"
+        ):
             parse_scene_xml(xml)
 
     def test_occluded_frame_needs_occluded_record(self):
@@ -127,8 +129,29 @@ class TestParse:
             <pedestrian id="p" occlusion="None"/>
           </frame>
         </roadScene>"""
-        with pytest.raises(SceneValidationError, match="PedestrianOccluded"):
+        with pytest.raises(
+            SceneValidationError,
+            match="^<frame>: frame 0 is PedestrianOccluded but has no occluded pedestrian record$",
+        ):
             parse_scene_xml(xml)
+
+    @pytest.mark.parametrize(
+        "occlusion, fraction, message",
+        [
+            ("Partial", "0.1", "visible_fraction 0.1 is below 0.25 but occlusion is Partial"),
+            ("Full", "0.25", "visible_fraction 0.25 is at or above 0.25 but occlusion is Full"),
+        ],
+    )
+    def test_visibility_contradicting_occlusion_rejected(self, occlusion, fraction, message):
+        xml = f"""<roadScene id="s" environment="Real">
+          <context zebraCrossing="false" lanes="1" surroundings="Clear"/>
+          <frame number="0" pedestriansScene="PedestrianOccluded">
+            <pedestrian id="p" occlusion="{occlusion}" visibleFraction="{fraction}"/>
+          </frame>
+        </roadScene>""".encode()
+        with pytest.raises(SceneValidationError) as info:
+            parse_scene_xml(xml)
+        assert str(info.value) == f"<pedestrian>: {message}"
 
     @pytest.mark.parametrize(
         "original, altered, element",
@@ -873,74 +896,58 @@ class TestSerializerMatchesElementTree:
 
 
 class TestValidateDocument:
+    """A document validates when it is built: each record enforces its labeling rules."""
+
     def test_clean_document(self, minimal_doc):
-        assert validate_document(minimal_doc) == []
+        frames = tuple(dataclasses.replace(f) for f in minimal_doc.frames)
+        assert RoadSceneDocument(minimal_doc.context, frames) == minimal_doc
 
     def test_occluded_frame_without_occluded_record(self):
-        doc = RoadSceneDocument(
-            context=SceneContext(
-                scene_id="s", environment=Environment.REAL,
-                zebra_crossing=False, lanes=1, surroundings=Surroundings.CLEAR,
-            ),
-            frames=(
-                FrameAnnotation(
-                    frame_number=0,
-                    pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED,
-                    pedestrians=(
-                        PedestrianRecord(pedestrian_id="p", occlusion=OcclusionLevel.NONE),
-                    ),
+        with pytest.raises(ValueError, match="no occluded pedestrian"):
+            FrameAnnotation(
+                frame_number=0,
+                pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED,
+                pedestrians=(
+                    PedestrianRecord(pedestrian_id="p", occlusion=OcclusionLevel.NONE),
                 ),
-            ),
-        )
-        violations = validate_document(doc)
-        assert len(violations) == 1
-        assert "no occluded pedestrian" in violations[0]
+            )
+        with pytest.raises(ValueError, match="no occluded pedestrian"):
+            FrameAnnotation(frame_number=0, pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED)
+
+    def test_none_pedestrian_frame_listing_a_pedestrian(self):
+        with pytest.raises(ValueError, match="frame 3 is NonePedestrian but lists pedestrians"):
+            FrameAnnotation(
+                frame_number=3,
+                pedestrians_scene=SceneLabel.NONE_PEDESTRIAN,
+                pedestrians=(
+                    PedestrianRecord(pedestrian_id="p", occlusion=OcclusionLevel.NONE),
+                ),
+            )
 
     def test_visibility_contradicts_partial(self):
-        doc = RoadSceneDocument(
-            context=SceneContext(
-                scene_id="s", environment=Environment.REAL,
-                zebra_crossing=False, lanes=1, surroundings=Surroundings.CLEAR,
-            ),
-            frames=(
-                FrameAnnotation(
-                    frame_number=0,
-                    pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED,
-                    pedestrians=(
-                        PedestrianRecord(
-                            pedestrian_id="p",
-                            occlusion=OcclusionLevel.PARTIAL,
-                            visible_fraction=0.1,
-                        ),
-                    ),
-                ),
-            ),
-        )
-        violations = validate_document(doc)
-        assert len(violations) == 1
-        assert "0.1" in violations[0]
+        with pytest.raises(ValueError, match="0.1"):
+            PedestrianRecord(
+                pedestrian_id="p", occlusion=OcclusionLevel.PARTIAL, visible_fraction=0.1
+            )
 
     def test_fraction_at_threshold_with_full_flagged(self):
-        doc = RoadSceneDocument(
-            context=SceneContext(
-                scene_id="s", environment=Environment.REAL,
-                zebra_crossing=False, lanes=1, surroundings=Surroundings.CLEAR,
-            ),
-            frames=(
-                FrameAnnotation(
-                    frame_number=0,
-                    pedestrians_scene=SceneLabel.PEDESTRIAN_OCCLUDED,
-                    pedestrians=(
-                        PedestrianRecord(
-                            pedestrian_id="p",
-                            occlusion=OcclusionLevel.FULL,
-                            visible_fraction=0.25,
-                        ),
-                    ),
-                ),
-            ),
+        with pytest.raises(ValueError, match="at or above 0.25 but occlusion is Full"):
+            PedestrianRecord(
+                pedestrian_id="p", occlusion=OcclusionLevel.FULL, visible_fraction=0.25
+            )
+
+    @pytest.mark.parametrize("level", OcclusionLevel)
+    @pytest.mark.parametrize("fraction", [None, 0.0, 0.1, 0.2499, 0.25, 0.26, 1.0])
+    def test_visibility_rule_at_every_level(self, level, fraction):
+        contradicts = fraction is not None and (
+            (fraction < FULL_OCCLUSION_VISIBILITY_THRESHOLD and level is OcclusionLevel.PARTIAL)
+            or (fraction >= FULL_OCCLUSION_VISIBILITY_THRESHOLD and level is OcclusionLevel.FULL)
         )
-        assert len(validate_document(doc)) == 1
+        if contradicts:
+            with pytest.raises(ValueError, match=f"but occlusion is {level.value}"):
+                PedestrianRecord("p", level, fraction)
+        else:
+            assert PedestrianRecord("p", level, fraction).visible_fraction == fraction
 
 
 class TestConstruction:
