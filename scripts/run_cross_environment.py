@@ -2,8 +2,10 @@
 
 Runs the six Real/Virtual/Mixed train-test pairings under one shared
 fold assignment, so each pairing is scored on the same held-out scenes
-per test environment.  Expect about four minutes on two cores with the
-default training settings; --epochs trades accuracy for speed.
+per test environment.  Pairings that share a training set share one
+model, so the six rows train three models.  With the default training
+settings one run took 67 s on two cores (120 s when every row trained
+its own model); --epochs trades accuracy for speed.
 
 At the default corpus seed 0 the Real test fold holds no occluded
 frame.  The three ->Real rows (Real->Real, Mixed->Real, Virtual->Real)

@@ -128,8 +128,8 @@ def _parse_value(key: str, value: str, kind):
 
 # Flat-key prefix -> (GeneratorConfig field, key types of its nested rows,
 # value type). A key is the prefix followed by one part per key type, e.g.
-# `state.PedestrianOccluded.Stopped`. `seed` and `frames_per_scene.min` /
-# `.max` are the only other keys.
+# `state.PedestrianOccluded.Stopped`. `frames_per_scene.min` / `.max` are
+# the only other keys; `occlukg gen` reads its `seed` key itself.
 _GENERATOR_KEYS = {
     "n_scenes": ("n_scenes", (Environment,), int),
     "label_prior": ("label_prior", (SceneLabel,), float),
@@ -152,14 +152,11 @@ def generator_config_from_mapping(raw: Mapping[str, str]) -> GeneratorConfig:
         field: copy.deepcopy(getattr(cfg, field)) for field, _, _ in _GENERATOR_KEYS.values()
     }
     frames = list(cfg.frames_per_scene)
-    seed = cfg.seed
 
     for key, value in raw.items():
         prefix, *parts = key.split(".")
         table_spec = _GENERATOR_KEYS.get(prefix)
-        if key == "seed":
-            seed = _parse_value(key, value, int)
-        elif key == "frames_per_scene.min":
+        if key == "frames_per_scene.min":
             frames[0] = _parse_value(key, value, int)
         elif key == "frames_per_scene.max":
             frames[1] = _parse_value(key, value, int)
@@ -174,14 +171,13 @@ def generator_config_from_mapping(raw: Mapping[str, str]) -> GeneratorConfig:
             raise ConfigError(f"unknown configuration key {key!r}")
 
     try:
-        return GeneratorConfig(frames_per_scene=(frames[0], frames[1]), seed=seed, **tables)
+        return GeneratorConfig(frames_per_scene=(frames[0], frames[1]), **tables)
     except GeneratorError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def render_generator_config(cfg: GeneratorConfig) -> str:
+def render_generator_config(cfg: GeneratorConfig) -> dict[str, object]:
     entries: dict[str, object] = {
-        "seed": cfg.seed,
         "frames_per_scene.min": cfg.frames_per_scene[0],
         "frames_per_scene.max": cfg.frames_per_scene[1],
     }
@@ -194,7 +190,7 @@ def render_generator_config(cfg: GeneratorConfig) -> str:
                 for k, v in row.items()
             ]
         entries.update(rows)
-    return _render_flat(entries)
+    return entries
 
 
 # --- training config ----------------------------------------------------
@@ -228,10 +224,7 @@ def render_training_config(cfg: TrainingConfig, prefix: str = "") -> dict[str, o
 
 
 def _parse_env_list(key: str, value: str) -> tuple[Environment, ...]:
-    envs = tuple(_parse_value(key, part.strip(), Environment) for part in value.split(","))
-    if not envs:
-        raise ConfigError(f"{key}: empty environment list")
-    return envs
+    return tuple(_parse_value(key, part.strip(), Environment) for part in value.split(","))
 
 
 def experiment_spec_from_mapping(raw: Mapping[str, str]) -> tuple[ExperimentSpec, bool]:
@@ -339,14 +332,16 @@ def _history_path(model_path: str) -> Path:
 
 
 def cmd_gen(args) -> int:
-    cfg = generator_config_from_mapping(_read_config_file(args.config))
+    raw = _read_config_file(args.config)
+    seed = _parse_value("seed", raw.pop("seed"), int) if "seed" in raw else 0
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
-    docs = generate_corpus(cfg, cfg.seed)
+        seed = args.seed
+    cfg = generator_config_from_mapping(raw)
+    docs = generate_corpus(cfg, seed)
     out = Path(args.out)
     write_corpus(docs, out)
     (out / "effective-config.txt").write_text(
-        render_generator_config(cfg), encoding="utf-8"
+        _render_flat({"seed": seed, **render_generator_config(cfg)}), encoding="utf-8"
     )
     print(f"wrote {len(docs)} scenes to {args.out}")
     return EXIT_OK

@@ -143,13 +143,15 @@ class ConfusionMatrix:
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    def add(self, predicted_positive: bool, actually_positive: bool) -> "ConfusionMatrix":
-        return ConfusionMatrix(
-            tp=self.tp + (predicted_positive and actually_positive),
-            fp=self.fp + (predicted_positive and not actually_positive),
-            fn=self.fn + (not predicted_positive and actually_positive),
-            tn=self.tn + (not predicted_positive and not actually_positive),
-        )
+    @classmethod
+    def of(cls, predictions: Sequence[FramePrediction]) -> "ConfusionMatrix":
+        """One-vs-rest counts for the occluded class over ``predictions``."""
+        occluded = SceneLabel.PEDESTRIAN_OCCLUDED
+        pairs = [(p.predicted is occluded, p.ground_truth is occluded) for p in predictions]
+        tp = pairs.count((True, True))
+        fp = pairs.count((True, False))
+        fn = pairs.count((False, True))
+        return cls(tp=tp, fp=fp, fn=fn, tn=len(pairs) - tp - fp - fn)
 
     def to_record(self) -> dict:
         return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
@@ -258,80 +260,75 @@ def fit_calibration(model: ComplexModel, split: TripleSplit) -> CalibrationResul
     return calibrate(model, positives, negatives)
 
 
+def _select(docs: Sequence[RoadSceneDocument], envs: Sequence[Environment]) -> tuple:
+    return tuple(d for d in docs if d.context.environment in envs)
+
+
+def _test_scenes(folds: FoldAssignment, spec: ExperimentSpec) -> tuple[RoadSceneDocument, ...]:
+    """The spec's test scenes; SplitError when it selects no training or no test scene."""
+    if not _select(folds.train, spec.train_environments):
+        raise SplitError("spec selects zero training scenes")
+    test = _select(folds.test, spec.test_environments)
+    if not test:
+        raise SplitError("spec selects zero test scenes")
+    return test
+
+
+def _fit(folds: FoldAssignment, spec: ExperimentSpec) -> tuple[ComplexModel, CalibrationResult]:
+    """Train on the folds' scenes from the spec's training environments, then calibrate."""
+    envs = spec.train_environments
+    split = make_split(dataclasses.replace(
+        folds, train=_select(folds.train, envs), validation=_select(folds.validation, envs)
+    ))
+    model = train(split, spec.training).model
+    return model, fit_calibration(model, split)
+
+
+def _counted(predictions: Sequence[FramePrediction]) -> dict:
+    """The report fields counted from ``predictions``: P, R, F1, confusion, frames."""
+    cm = ConfusionMatrix.of(predictions)
+    return {**dataclasses.asdict(compute_metrics(cm)), "confusion": cm, "n_frames": cm.total}
+
+
+def _score(
+    model: ComplexModel, cal: CalibrationResult, test: Sequence[RoadSceneDocument],
+    spec: ExperimentSpec,
+) -> tuple[MetricsReport, list[FramePrediction]]:
+    """Predict every frame of the test scenes, then derive the report from the predictions."""
+    predictions = [
+        predict_frame(model, doc, t, horizon=spec.horizon)
+        for doc in test
+        for t in range(len(doc.frames))
+    ]
+    env_of = {d.scene_id: d.context.environment.value for d in test}
+    per_env = {}
+    for env in sorted(set(env_of.values())):
+        counted = _counted([p for p in predictions if env_of[p.scene_id] == env])
+        per_env[env] = {**counted, "confusion": counted["confusion"].to_record()}
+    reports = [r for p in predictions for r in p.reports]
+    dropped = sum(len(p.dropped_evidence) for p in predictions)
+    items = dropped + sum(len(p.evidence) for p in predictions)
+    report = MetricsReport(
+        **_counted(predictions),
+        per_environment=per_env,
+        spec_echo={"label": spec.label(), **spec.echo()},
+        clamp_rate=sum(r.clamp_flagged for r in reports) / len(reports) if reports else 0.0,
+        truncation_rate=(
+            sum(p.truncated for p in predictions) / len(predictions) if predictions else 0.0
+        ),
+        oov_item_rate=dropped / items if items else 0.0,
+        calibration={"a": cal.a, "b": cal.b, "warning": cal.warning, "message": cal.message},
+    )
+    return report, predictions
+
+
 def run_experiment_with_predictions(
     corpus: Sequence[RoadSceneDocument], spec: ExperimentSpec
 ) -> tuple[MetricsReport, list[FramePrediction]]:
     """run_experiment, also returning every per-frame prediction."""
     folds = assign_folds(corpus, spec.counts, spec.seed, spec.validation_ratio)
-    train_envs = set(spec.train_environments)
-    test_envs = set(spec.test_environments)
-    restricted = FoldAssignment(
-        train=tuple(d for d in folds.train if d.context.environment in train_envs),
-        validation=tuple(
-            d for d in folds.validation if d.context.environment in train_envs
-        ),
-        test=tuple(d for d in folds.test if d.context.environment in test_envs),
-    )
-    if not restricted.train:
-        raise SplitError("spec selects zero training scenes")
-    if not restricted.test:
-        raise SplitError("spec selects zero test scenes")
-
-    split = make_split(restricted)
-    result = train(split, spec.training)
-    model = result.model
-    cal = fit_calibration(model, split)
-
-    cm = ConfusionMatrix()
-    env_cms: dict[str, ConfusionMatrix] = {}
-    predictions: list[FramePrediction] = []
-    clamped = 0
-    reports_total = 0
-    truncated = 0
-    dropped_items = 0
-    items_total = 0
-    for doc in restricted.test:
-        env = doc.context.environment.value
-        env_cms.setdefault(env, ConfusionMatrix())
-        for t in range(len(doc.frames)):
-            pred = predict_frame(model, doc, t, horizon=spec.horizon)
-            predictions.append(pred)
-            is_pred = pred.predicted is SceneLabel.PEDESTRIAN_OCCLUDED
-            is_true = pred.ground_truth is SceneLabel.PEDESTRIAN_OCCLUDED
-            cm = cm.add(is_pred, is_true)
-            env_cms[env] = env_cms[env].add(is_pred, is_true)
-            clamped += sum(r.clamp_flagged for r in pred.reports)
-            reports_total += len(pred.reports)
-            truncated += pred.truncated
-            dropped_items += len(pred.dropped_evidence)
-            items_total += len(pred.evidence) + len(pred.dropped_evidence)
-
-    core = compute_metrics(cm)
-    per_env = {}
-    for env, env_cm in sorted(env_cms.items()):
-        env_core = compute_metrics(env_cm)
-        per_env[env] = {
-            "precision": env_core.precision,
-            "recall": env_core.recall,
-            "f1": env_core.f1,
-            "confusion": env_cm.to_record(),
-            "n_frames": env_cm.total,
-        }
-    n_frames = cm.total
-    report = MetricsReport(
-        precision=core.precision,
-        recall=core.recall,
-        f1=core.f1,
-        confusion=cm,
-        per_environment=per_env,
-        spec_echo={"label": spec.label(), **spec.echo()},
-        clamp_rate=clamped / reports_total if reports_total else 0.0,
-        truncation_rate=truncated / n_frames if n_frames else 0.0,
-        oov_item_rate=dropped_items / items_total if items_total else 0.0,
-        calibration={"a": cal.a, "b": cal.b, "warning": cal.warning, "message": cal.message},
-        n_frames=n_frames,
-    )
-    return report, predictions
+    test = _test_scenes(folds, spec)
+    return _score(*_fit(folds, spec), test, spec)
 
 
 def run_experiment(
@@ -359,18 +356,27 @@ def run_cross_environment(
 
     ``base`` fixes counts, seed and every training knob; only the
     environment selections vary, so each combination shares the same
-    per-environment test scenes.
+    per-environment test scenes. Combinations with the same training
+    environments share one trained, calibrated model (three models for
+    six combinations), and every selection is checked before any training.
     """
     present = {d.context.environment for d in corpus}
     for env in (Environment.REAL, Environment.VIRTUAL):
         if env not in present:
             raise SplitError(f"corpus has no {env.value} scenes")
+    folds = assign_folds(corpus, base.counts, base.seed, base.validation_ratio)
+    specs = {
+        label: dataclasses.replace(base, train_environments=tr, test_environments=te)
+        for label, tr, te in CROSS_ENVIRONMENT_COMBOS
+    }
+    tests = {label: _test_scenes(folds, spec) for label, spec in specs.items()}
+    fitted = {}
     out: dict[str, MetricsReport] = {}
-    for label, train_envs, test_envs in CROSS_ENVIRONMENT_COMBOS:
-        spec = dataclasses.replace(
-            base, train_environments=train_envs, test_environments=test_envs
-        )
-        out[label] = run_experiment(corpus, spec)
+    for label, spec in specs.items():
+        key = frozenset(spec.train_environments)
+        if key not in fitted:
+            fitted[key] = _fit(folds, spec)
+        out[label], _ = _score(*fitted[key], tests[label], spec)
     return out
 
 

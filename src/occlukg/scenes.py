@@ -332,8 +332,6 @@ def _parse_frame(elem: ET.Element) -> FrameAnnotation:
     number = _parse_int(
         attrib.get("number") or _required_attr(elem, "number", "frame"), "number", "frame"
     )
-    if number < 0:
-        raise SceneValidationError(f"<frame> number must be >= 0, got {number}")
     pedestrians = []
     vehicles = []
     for child in elem:

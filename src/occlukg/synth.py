@@ -75,7 +75,6 @@ class GeneratorConfig:
     vehicle_count_weights: Mapping[int, float]
     lane_weights: Mapping[int, float]
     position_weights: Mapping[VehiclePosition, float]
-    seed: int = 0
 
     def __post_init__(self):
         for env, n in self.n_scenes.items():
@@ -189,7 +188,6 @@ def default_config() -> GeneratorConfig:
         vehicle_count_weights={0: 0.05, 1: 0.4, 2: 0.35, 3: 0.2},
         lane_weights={1: 0.3, 2: 0.4, 3: 0.2, 4: 0.1},
         position_weights={p: 0.2 for p in VehiclePosition},
-        seed=0,
     )
 
 

@@ -142,7 +142,6 @@ class TestGeneratorConfigMapping:
 
     def test_overrides_apply(self):
         cfg = generator_config_from_mapping({
-            "seed": "9",
             "n_scenes.Real": "3",
             "frames_per_scene.min": "5",
             "frames_per_scene.max": "6",
@@ -151,7 +150,6 @@ class TestGeneratorConfigMapping:
             "zebra.NonePedestrian": "0.25",
             "vehicle_count.2": "0.35",
         })
-        assert cfg.seed == 9
         assert cfg.n_scenes[Environment.REAL] == 3
         assert cfg.frames_per_scene == (5, 6)
         occl_row = cfg.state_given_label[SceneLabel.PEDESTRIAN_OCCLUDED]
@@ -173,7 +171,7 @@ class TestGeneratorConfigMapping:
 
     def test_render_parse_round_trip(self):
         cfg = default_config()
-        text = render_generator_config(cfg)
+        text = _render_flat(render_generator_config(cfg))
         assert generator_config_from_mapping(parse_flat_config(text)) == cfg
 
 
@@ -280,6 +278,25 @@ class TestGen:
         ) == EXIT_OK
         assert "seed = 11" in (other / "effective-config.txt").read_text()
         assert snapshot(other) != snapshot(corpus_dir)
+
+    def test_seed_key_and_flag_agree(self, corpus_dir, tmp_path):
+        # the config's seed key and --seed choose the same corpus, and the
+        # echoed config regenerates it
+        cfg = tmp_path / "gen.txt"
+        cfg.write_text(GEN_CONFIG.replace("seed = 4\n", ""), encoding="utf-8")
+        flagged = tmp_path / "flagged"
+        assert main(["gen", "--out", str(flagged), "--config", str(cfg), "--seed", "4"]) == EXIT_OK
+        assert snapshot(flagged) == snapshot(corpus_dir)
+        echoed = tmp_path / "echoed"
+        assert main(["gen", "--out", str(echoed), "--config",
+                     str(corpus_dir / "effective-config.txt")]) == EXIT_OK
+        assert snapshot(echoed) == snapshot(corpus_dir)
+
+    def test_bad_seed_value(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.txt"
+        cfg.write_text("seed = four\n", encoding="utf-8")
+        assert main(["gen", "--out", str(tmp_path / "x"), "--config", str(cfg)]) == EXIT_USAGE
+        assert "seed: expected integer, got 'four'" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         code = main(["gen", "--out", str(tmp_path / "x"), "--config",
@@ -688,6 +705,17 @@ class TestExperiment:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "unknown configuration key 'training.adversarial_temperature'" in err
+        assert not out.exists()
+
+    def test_empty_environment_list(self, corpus_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_CONFIG + "train_environments =\n", encoding="utf-8")
+        out = tmp_path / "run"
+        code = main(["experiment", "--corpus", str(corpus_dir), "--spec", str(spec),
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "configuration error: train_environments: '' is not one of Real, Virtual\n"
         assert not out.exists()
 
     def test_spec_without_counts(self, corpus_dir, tmp_path, capsys):

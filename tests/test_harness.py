@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,11 +106,20 @@ class TestComputeMetrics:
 
 
 class TestConfusionMatrix:
-    def test_add_routes_to_the_right_cell(self):
-        cm = ConfusionMatrix()
-        cm = cm.add(True, True).add(True, False).add(False, True).add(False, False)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 1)
-        assert cm.total == 4
+    def test_of_routes_each_prediction_to_its_cell(self):
+        # one-vs-rest: mistaking visible for pedestrian-free is a true negative
+        occluded = SceneLabel.PEDESTRIAN_OCCLUDED
+        visible = SceneLabel.PEDESTRIAN_NOT_OCCLUDED
+        nobody = SceneLabel.NONE_PEDESTRIAN
+        pairs = [
+            (occluded, occluded), (occluded, visible), (nobody, occluded),
+            (visible, nobody), (nobody, visible),
+        ]
+        cm = ConfusionMatrix.of(
+            [SimpleNamespace(predicted=p, ground_truth=t) for p, t in pairs]
+        )
+        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 2)
+        assert ConfusionMatrix.of([]) == ConfusionMatrix()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -273,6 +283,36 @@ class TestRunExperiment:
         )
         assert occluded == report.confusion.tp + report.confusion.fp
 
+    def test_report_is_counted_from_the_predictions(self, small_corpus):
+        both = (Environment.REAL, Environment.VIRTUAL)
+        spec = small_spec(train_environments=both, test_environments=both)
+        report, predictions = run_experiment_with_predictions(small_corpus, spec)
+        env_of = {d.scene_id: d.context.environment.value for d in small_corpus}
+        occluded = SceneLabel.PEDESTRIAN_OCCLUDED
+
+        def counts(preds):
+            cells = [(p.predicted is occluded, p.ground_truth is occluded) for p in preds]
+            return {
+                "tp": cells.count((True, True)), "fp": cells.count((True, False)),
+                "fn": cells.count((False, True)), "tn": cells.count((False, False)),
+            }
+
+        assert report.confusion.to_record() == counts(predictions)
+        assert set(report.per_environment) == {"Real", "Virtual"}
+        for env, record in report.per_environment.items():
+            mine = [p for p in predictions if env_of[p.scene_id] == env]
+            assert record["confusion"] == counts(mine)
+            assert record["n_frames"] == len(mine)
+        reports = [r for p in predictions for r in p.reports]
+        items = sum(len(p.evidence) + len(p.dropped_evidence) for p in predictions)
+        assert report.n_frames == len(predictions)
+        assert report.clamp_rate == sum(r.clamp_flagged for r in reports) / len(reports)
+        assert report.truncation_rate == sum(p.truncated for p in predictions) / len(predictions)
+        assert report.oov_item_rate == (
+            sum(len(p.dropped_evidence) for p in predictions) / items
+        )
+        assert report.truncation_rate > 0  # horizon 3 runs past some scene ends
+
     def test_horizon_zero_runs(self, small_corpus):
         report = run_experiment(small_corpus, small_spec(horizon=0))
         assert report.truncation_rate == 0.0
@@ -332,6 +372,37 @@ class TestCrossEnvironment:
         assert {e for combo in out.values() for e in combo.per_environment} <= {
             "Real", "Virtual",
         }
+
+    def test_each_training_selection_is_trained_once(self, small_corpus, monkeypatch):
+        calls = []
+        original = harness.train
+
+        def counting_train(split, config):
+            calls.append(split)
+            return original(split, config)
+
+        monkeypatch.setattr(harness, "train", counting_train)
+        run_cross_environment(small_corpus, small_spec())
+        assert len(calls) == 3
+
+    def test_each_combination_equals_its_own_run(self, small_corpus):
+        base = small_spec()
+        out = run_cross_environment(small_corpus, base)
+        for label, train_envs, test_envs in CROSS_ENVIRONMENT_COMBOS:
+            spec = dataclasses.replace(
+                base, train_environments=train_envs, test_environments=test_envs
+            )
+            assert out[label].to_record() == run_experiment(small_corpus, spec).to_record()
+
+    def test_selections_checked_before_any_training(self, small_corpus, monkeypatch):
+        # Virtual->Virtual selects no training scene; Real->Real, before it, does
+        def failing_train(split, config):
+            raise AssertionError("trained before the selections were checked")
+
+        monkeypatch.setattr(harness, "train", failing_train)
+        counts = {Environment.REAL: (3, 1), Environment.VIRTUAL: (0, 1)}
+        with pytest.raises(SplitError, match="zero training scenes"):
+            run_cross_environment(small_corpus, small_spec(counts=counts))
 
     def test_missing_environment_rejected(self, small_corpus):
         virtual_only = [

@@ -393,7 +393,7 @@ _CONTRACT_CASES = {
     ),
     "number-negative": (
         [(b'number="0"', b'number="-1"')],
-        "<frame> number must be >= 0, got -1",
+        "<frame>: frame_number must be >= 0, got -1",
     ),
     "lanes-not-an-integer": (
         [(b'lanes="3"', b'lanes="three"')],
@@ -469,6 +469,16 @@ _CONTRACT_CASES = {
     "frame-number-before-children": (
         [(b'number="0"', b'number="x"'), (b'"Decelerating"', b'"Braking"')],
         "<frame> attribute 'number' must be an integer, got 'x'",
+    ),
+    "frame-children-before-negative-number": (
+        [(b'number="0"', b'number="-1"'), (b'"Decelerating"', b'"Braking"')],
+        "<vehicle> attribute 'state' has unknown value 'Braking' "
+        "(allowed: ContinuousMovement, Stopped, Accelerating, Decelerating)",
+    ),
+    "label-before-negative-number": (
+        [(b'number="0"', b'number="-1"'), (b'"PedestrianOccluded"', b'"Nobody"')],
+        "<frame> attribute 'pedestriansScene' has unknown value 'Nobody' "
+        "(allowed: NonePedestrian, PedestrianOccluded, PedestrianNotOccluded)",
     ),
     "frame-children-before-label": (
         [(b'"PedestrianOccluded"', b'"Nobody"'), (b'"Decelerating"', b'"Braking"')],

@@ -247,9 +247,9 @@ class TestUninformativeConfig:
         # The mixed rows must not follow set iteration order, which
         # PYTHONHASHSEED decides; hash seeds 0 and 8 once gave different bits.
         script = (
-            "from occlukg.cli import render_generator_config\n"
+            "from occlukg.cli import _render_flat, render_generator_config\n"
             "from occlukg.synth import uninformative_config\n"
-            "print(render_generator_config(uninformative_config()), end='')\n"
+            "print(_render_flat(render_generator_config(uninformative_config())), end='')\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
         rendered = []
