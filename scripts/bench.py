@@ -12,7 +12,10 @@ parent from its commit, the change from a tree of this working tree as
 ``git add -A`` would stage it (written through a temporary index, so the
 real index is left alone).  The tree's hash is recorded, so a BENCH file
 names the content it measured, and edits made while it runs do not reach
-it.  Both sides run under this interpreter, on this machine.
+it.  Before each run the side's snapshot is moved to one fixed path,
+``<tmp>/tree``, and moved back afterwards, so every path a run sees is the
+same for both sides.  Both sides run under this interpreter, on this
+machine.
 
 The file records, per workload, seed and end-to-end metric of
 ``BENCHMARK.json``: every run's value, each side's median and quartiles,
@@ -103,6 +106,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def run_side(checkout: Path, at: Path, workload: str, seed: int, seconds: float) -> dict:
+    """``run_once`` with the snapshot ``checkout`` moved to ``at`` for the run, then moved back."""
+    checkout.rename(at)
+    try:
+        return run_once(at, workload, seed, seconds)
+    finally:
+        at.rename(checkout)
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -184,6 +196,7 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="occlukg-bench-") as tmp:
         checkouts = {side: export(revisions[side], Path(tmp) / side) for side in SIDES}
+        tree = Path(tmp) / "tree"
         for workload in args.workload:
             seed = held_out[workload]
             runs = []
@@ -191,7 +204,7 @@ def main(argv=None) -> int:
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 run = {"first": order[0]}
                 for side in order:
-                    run[side] = run_once(checkouts[side], workload, seed, seconds)
+                    run[side] = run_side(checkouts[side], tree, workload, seed, seconds)
                     print(f"{workload} seed {seed} pair {pair + 1}/{PAIRS} {side}: "
                           f"wall_s {run[side]['metrics']['wall_s']:.3f}", file=sys.stderr)
                 runs.append(run)

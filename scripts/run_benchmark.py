@@ -3,7 +3,7 @@
 Generates the default synthetic corpus, trains the embedding model on
 the Virtual training fold, and scores one-vs-rest occluded-pedestrian
 detection on the held-out Virtual scenes at a 30-frame horizon.  With
-the default seeds this reaches occluded-class F1 ~0.93 in about 27 s
+the default seeds this reaches occluded-class F1 ~0.93 in about 18 s
 on two cores.  Pass --out to keep the JSON report and per-frame predictions.
 """
 

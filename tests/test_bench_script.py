@@ -1,5 +1,6 @@
 """Verdicts of scripts/bench.py on hand-made parent/change runs."""
 
+import contextlib
 import importlib.util
 import json
 from pathlib import Path
@@ -139,7 +140,7 @@ def test_record_names_the_workloads_it_covers(tmp_path, monkeypatch):
 
     monkeypatch.setattr(bench, "resolve", lambda rev: rev)
     monkeypatch.setattr(bench, "snapshot", lambda: "tree")
-    monkeypatch.setattr(bench, "export", lambda tree, into: into)
+    monkeypatch.setattr(bench, "export", lambda tree, into: into.mkdir(parents=True) or into)
     monkeypatch.setattr(bench, "run_once", fake_run)
     out = tmp_path / "bench.json"
     assert bench.main(["--parent", "p", "--out", str(out), "--workload", "ingest"]) == 0
@@ -149,3 +150,55 @@ def test_record_names_the_workloads_it_covers(tmp_path, monkeypatch):
     assert [r["workload"] for r in record["results"]] == ["ingest"]
     assert {workload for _, workload in ran} == {"ingest"}
     assert len(ran) == 2 * bench.PAIRS
+
+
+def test_both_sides_run_from_one_path_and_are_moved_back(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_export(tree, into):
+        into.mkdir(parents=True)
+        (into / "rev").write_text(tree)
+        return into
+
+    def fake_run(checkout, workload, seed, seconds):
+        ran.append((checkout, (checkout / "rev").read_text()))
+        return {"metrics": {m["name"]: 1.0 for m in bench.load_benchmark()["end_to_end"]},
+                "attempted": 1, "failed": 0}
+
+    work = tmp_path / "work"
+
+    @contextlib.contextmanager
+    def kept_dir(prefix=""):  # a temporary directory left in place, to look at afterwards
+        work.mkdir()
+        yield str(work)
+
+    monkeypatch.setattr(bench, "resolve", lambda rev: rev)
+    monkeypatch.setattr(bench, "snapshot", lambda: "tree-hash")
+    monkeypatch.setattr(bench, "export", fake_export)
+    monkeypatch.setattr(bench, "run_once", fake_run)
+    monkeypatch.setattr(bench.tempfile, "TemporaryDirectory", kept_dir)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "p", "--out", str(out), "--workload", "ingest"]) == 0
+
+    assert len(ran) == 2 * bench.PAIRS
+    assert {checkout for checkout, _ in ran} == {work / "tree"}
+    assert sorted(rev for _, rev in ran) == ["p"] * bench.PAIRS + ["tree-hash"] * bench.PAIRS
+    assert (work / "parent" / "rev").read_text() == "p"
+    assert (work / "change" / "rev").read_text() == "tree-hash"
+    assert not (work / "tree").exists()
+
+
+def test_a_failed_run_moves_its_tree_back(tmp_path, monkeypatch):
+    side = tmp_path / "change"
+    side.mkdir()
+    (side / "rev").write_text("tree-hash")
+
+    def failing_run(checkout, workload, seed, seconds):
+        assert (checkout / "rev").read_text() == "tree-hash"
+        raise RuntimeError("run failed")
+
+    monkeypatch.setattr(bench, "run_once", failing_run)
+    with pytest.raises(RuntimeError, match="run failed"):
+        bench.run_side(side, tmp_path / "tree", "ingest", 1, 1.0)
+    assert (side / "rev").read_text() == "tree-hash"
+    assert not (tmp_path / "tree").exists()

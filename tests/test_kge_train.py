@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from occlukg.kge.model import (
     _score_arrays,
     _subject_partials,
     init_embeddings,
+    init_tables,
     score_batch,
     score_gradient,
     score_triple,
@@ -403,9 +405,10 @@ def reference_batch_step(model, pos, neg):
 
 class TestBatchStepOracle:
     # 300 positives give 300 and 4,500 corruption rows: at 7 rows a block
-    # both end in a partial block, and 4,500 also crosses the default
-    # block size into a partial second block.
-    @pytest.mark.parametrize("block_rows", [7, train_mod._SCORE_BLOCK_ROWS])
+    # both end in a partial block; at the default 1,024 rows, 300 fit in
+    # one partial block and 4,500 cross four block boundaries into a
+    # partial fifth block; at 4,096 rows, 4,500 cross a single boundary.
+    @pytest.mark.parametrize("block_rows", [7, train_mod._SCORE_BLOCK_ROWS, 4096])
     @pytest.mark.parametrize("eta", [1, 15])
     def test_bit_equal_to_the_whole_batch_formulation(
         self, small_kg, monkeypatch, block_rows, eta
@@ -426,6 +429,63 @@ class TestBatchStepOracle:
         assert len(got[3]) == len(want[3]) == len(TABLES)
         for name, g_got, g_want in zip(TABLES, got[3], want[3]):
             assert np.array_equal(g_got, g_want), name
+
+    @pytest.mark.parametrize("block_rows", [7, train_mod._SCORE_BLOCK_ROWS])
+    def test_repeated_replacements_and_the_kept_entity(self, small_kg, monkeypatch, block_rows):
+        # Copies of one corruption share one scatter entry, whose weight is
+        # their sum; a replacement may also be the entity its positive keeps.
+        monkeypatch.setattr(train_mod, "_SCORE_BLOCK_ROWS", block_rows)
+        eta, n_ent = 15, small_kg.n_entities
+        model = init_embeddings(small_kg, 8, seed=19)
+        rng = np.random.default_rng(19)
+        train_idx = small_kg.to_index_array()
+        train_idx = train_idx[train_idx[:, 0] != train_idx[:, 2]]
+        pos = train_idx[rng.integers(train_idx.shape[0], size=40)]
+        neg = corrupt_batch(pos, eta, n_ent, rng)
+        (s0, r0, o0), (s1, r1, o1) = pos[0], pos[1]
+        # positive 0: one object replacement five times, then one subject
+        # replacement four times, across the 7-row block boundary
+        neg[0:5] = (s0, r0, (o0 + 1) % n_ent)
+        neg[5:9] = ((s0 + 1) % n_ent, r0, o0)
+        # positive 1: its subject replaces its object three times, and its
+        # object replaces its subject once
+        neg[eta : eta + 3] = (s1, r1, s1)
+        neg[eta + 3] = (o1, r1, o1)
+
+        got = _batch_step(model, pos, neg)
+        want = reference_batch_step(model, pos, neg)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[2], want[2])
+        for name, g_got, g_want in zip(TABLES, got[3], want[3]):
+            assert np.array_equal(g_got, g_want), name
+
+
+class TestBatchStepMemory:
+    # At 2,048 positives, eta 15, k 32 and 2,000 entities (the headline's
+    # batch shape), the step's arrays peaked at 12.34-12.36 MB under
+    # tracemalloc; the limit leaves a 0.64 MB margin.
+    LIMIT_BYTES = 13_000_000
+
+    def test_live_peak_of_a_headline_shaped_step(self):
+        n_ent, n_rel, n, eta, k = 2000, 20, 2048, 15, 32
+        rng = np.random.default_rng(0)
+        model = init_tables(
+            [f"e{i}" for i in range(n_ent)], [f"r{i}" for i in range(n_rel)], k, seed=0
+        )
+        pos = np.stack(
+            [rng.integers(n_ent, size=n), rng.integers(n_rel, size=n),
+             rng.integers(n_ent, size=n)],
+            axis=1,
+        )
+        neg = corrupt_batch(pos, eta, n_ent, rng)
+        tracemalloc.start()
+        try:
+            _batch_step(model, pos, neg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.LIMIT_BYTES, f"step peak {peak / 1e6:.2f} MB"
 
 
 class TestPartialHelpers:
